@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -220,6 +221,8 @@ def cmd_coupling(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
+    if args.step is not None and not (math.isfinite(args.step) and args.step > 0):
+        raise UsageError(f"--step must be positive and finite, got {args.step}")
     dev = _load_device(args)
     space = build_space(dev)
     try:

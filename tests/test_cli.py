@@ -304,6 +304,19 @@ class TestDynamics:
         second = (tmp_path / "b" / "dynamics.csv").read_bytes()
         assert first == second
 
+    @pytest.mark.parametrize("step", ["0", "-1", "nan"])
+    def test_bad_step_is_usage_error(self, device_files, tmp_path, capsys, step):
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"],
+             "--initial", "0,e,g,g", "--t-final", "40", "--method", "split",
+             "--step", step, "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --step") and err.count("\n") == 1
+        assert not (tmp_path / "dynamics.csv").exists()
+
     def test_negative_duration_fails(self, device_files, tmp_path, capsys):
         code, _, err = run_cli(
             ["dynamics", "--device", device_files["three"],

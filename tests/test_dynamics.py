@@ -12,8 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_three_atom_device
+from cycqed import dynamics
 from cycqed.device import (
     AtomSpec,
     CavitySpec,
@@ -29,6 +32,7 @@ from cycqed.dynamics import (
     Observable,
     ObservableSet,
     TrajectoryResult,
+    _dissipator,
     build_collapse_channels,
     entanglement_checkpoint,
     evolve,
@@ -82,6 +86,34 @@ def decay_qutrit_device() -> DeviceSpec:
         atoms=(AtomSpec("q", 1.0, 2.2, gamma_ge=0.02, gamma_gi=0.03, gamma_ei=0.05),),
         edges=(CouplingEdge("q", "c", g_ge=0.0),),
         unit_omega0=True,
+    )
+
+
+RATES = st.one_of(st.just(0.0), st.floats(1e-4, 1.0))
+
+
+@st.composite
+def open_devices(draw):
+    """1-3 atoms of 2 or 3 levels on 1-2 cavities; every rate zero or positive."""
+    cavities = tuple(
+        CavitySpec(f"c{k}", 1.5 + 0.4 * k, kappa=draw(RATES), n_max=2)
+        for k in range(draw(st.integers(1, 2)))
+    )
+    atoms, edges = [], []
+    for k in range(draw(st.integers(1, 3))):
+        label = str(k + 1)
+        if draw(st.booleans()):
+            gammas = {name: draw(RATES) for name in ("gamma_ge", "gamma_gi", "gamma_ei")}
+            atoms.append(AtomSpec(label, 1.0, 1.7, **gammas))
+            couplings = {"g_ge": 0.01, "g_gi": 0.01, "g_ei": 0.01}
+        else:
+            atoms.append(AtomSpec(label, 1.0, gamma_ge=draw(RATES)))
+            couplings = {"g_ge": 0.01}
+        # atom 1 reaches every cavity, so the coupling graph is connected
+        for cav in cavities if k == 0 else cavities[:1]:
+            edges.append(CouplingEdge(label, cav.label, **couplings))
+    return DeviceSpec(
+        cavities=cavities, atoms=tuple(atoms), edges=tuple(edges), unit_omega0=True
     )
 
 
@@ -249,6 +281,36 @@ class TestCollapseChannels:
             dense = ch.as_matrix(space.total_dim)
             expected = np.real(np.diagonal(dense.conj().T @ dense))
             np.testing.assert_allclose(ch.rate_diagonal(space.total_dim), expected, atol=1e-14)
+
+
+class TestPrebuiltDissipator:
+    @settings(deadline=None, max_examples=40)
+    @given(open_devices(), st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference(self, dev, seed):
+        space = build_space(dev)
+        d = space.total_dim
+        channels = build_collapse_channels(dev, space)
+        dissipator = _dissipator(channels, d)
+        rates = [c.kappa for c in dev.cavities] + [
+            getattr(a, name) for a in dev.atoms for name in ("gamma_ge", "gamma_gi", "gamma_ei")
+        ]
+        if not any(rates):
+            assert channels == () and dissipator is None
+            # closed runs keep one exact propagator per sample interval
+            traj = evolve(dev, DensityMatrix.pure(space, 0), 10.0, samples=3,
+                          method="split", step=1.0)
+            assert traj.steps == 2
+            return
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = m + m.conj().T
+        expected = np.zeros((d, d), dtype=complex)
+        for ch in channels:
+            op = ch.as_matrix(d)
+            anti = op.conj().T @ op
+            expected += op @ rho @ op.conj().T - 0.5 * (anti @ rho + rho @ anti)
+        got = (dissipator @ rho.ravel()).reshape(d, d)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestLindbladRHS:
@@ -517,6 +579,18 @@ class TestEvolvePlumbing:
         space = build_space(dev)
         with pytest.raises(ValueError, match="two samples"):
             evolve(dev, bare_state(dev, space, (0,), ("e",)), 1.0, samples=1)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_step_rejected_before_any_work(self, step, monkeypatch):
+        dev = jc_device()
+        initial = bare_state(dev, build_space(dev), (0,), ("e",))
+
+        def no_work(*args):
+            raise AssertionError("evolve did work before checking the step")
+
+        monkeypatch.setattr(dynamics, "build_space", no_work)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            evolve(dev, initial, 5.0, method="split", step=step)
 
     def test_unknown_method_rejected(self):
         dev = jc_device()
