@@ -101,14 +101,14 @@ def _load_device(args) -> DeviceSpec:
     except (OSError, ConfigError) as exc:
         raise UsageError(f"cannot load device {args.device}: {exc}") from exc
     if getattr(args, "n_max", None) is not None:
-        if args.n_max < 1:
-            raise UsageError("n-max must be at least 1")
+        if args.n_max < 2:
+            raise UsageError("n-max must be at least 2")
         for cavity in dev.cavities:
             dev = with_parameter(dev, f"cavities.{cavity.label}.n_max", args.n_max)
     for path, value in _parse_overrides(getattr(args, "set", None) or []):
         try:
             dev = with_parameter(dev, path, value)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, OverflowError) as exc:
             raise UsageError(f"override {path!r}: {exc}") from exc
     for ratio in validate_dispersive(dev):
         if ratio.flagged:

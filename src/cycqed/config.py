@@ -24,6 +24,7 @@ a run plan, and expected metrics; see the scenarios module.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .device import AtomSpec, CavitySpec, CouplingEdge, DeviceSpec
@@ -76,6 +77,8 @@ def _no_extras(obj: dict, where: str) -> None:
 def _number(value, where: str, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: {key} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
     return float(value)
 
 

@@ -39,6 +39,13 @@ TRANSITIONS = ("ge", "gi", "ei")
 DISPERSIVE_THRESHOLD = 0.2
 
 
+def _require_finite(spec, where: str, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{where}: {name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AtomSpec:
     """A two- or three-level atom.
@@ -64,6 +71,9 @@ class AtomSpec:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("atom label must be nonempty")
+        _require_finite(
+            self, f"atom {self.label!r}", ("omega_e", "omega_i", "gamma_ge", "gamma_gi", "gamma_ei")
+        )
         if self.omega_e <= 0:
             raise ValueError(f"atom {self.label!r}: omega_e must be positive")
         if self.omega_i is not None and self.omega_i <= self.omega_e:
@@ -93,6 +103,7 @@ class CavitySpec:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("cavity label must be nonempty")
+        _require_finite(self, f"cavity {self.label!r}", ("omega_c", "kappa"))
         if self.omega_c <= 0:
             raise ValueError(f"cavity {self.label!r}: omega_c must be positive")
         if self.kappa < 0:
@@ -116,6 +127,7 @@ class CouplingEdge:
     g_ei: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self, f"edge {self.atom}-{self.cavity}", ("g_ge", "g_gi", "g_ei"))
         for name in ("g_ge", "g_gi", "g_ei"):
             if getattr(self, name) < 0:
                 raise ValueError(f"edge {self.atom}-{self.cavity}: {name} must be >= 0")

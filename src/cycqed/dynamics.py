@@ -6,23 +6,19 @@ one nonzero entry per row and per column, so O†O is diagonal and the whole
 dissipator is one sparse superoperator on vec(ρ), built once per run with
 O(d²) nonzeros; each evaluation is one sparse matrix-vector product.
 
-Two integration engines share the sampling and diagnostics machinery:
+``split`` is the integration engine: Strang splitting between the exact
+Hamiltonian flow (one spectral decomposition up front, then two matrix
+products per step) and a second-order Runge-Kutta kick of the prebuilt
+dissipator (two sparse products per step). Strang splitting is itself
+second order, and the kick's own error is O((γh)³) with γh ≈ 1e-4, so a
+higher-order kick buys nothing. Exact for dissipation-free evolution at
+any step size; the fixed step is validated by halving (``validate=True``).
+``auto`` resolves to ``split``.
 
-``rk45``
-    Adaptive embedded Dormand-Prince 5(4) on the vectorized density
-    matrix with step rejection. Reference quality, but the explicit steps
-    must resolve the fastest bare phase, which is prohibitive for the
-    larger benchmark devices.
-
-``split``
-    Strang splitting between the exact Hamiltonian flow (one spectral
-    decomposition up front, then two matrix products per step) and a
-    second-order Runge-Kutta kick of the prebuilt dissipator (two sparse
-    products per step). Strang splitting is itself second order, and the
-    kick's own error is O((γh)³) with γh ≈ 1e-4, so a higher-order kick
-    buys nothing. Exact for dissipation-free evolution at any step size;
-    the fixed step is validated by halving (``validate=True``) and, on
-    small devices, by cross-checking against ``rk45``.
+``rk45`` is scipy's adaptive Dormand-Prince 5(4) on the vectorized
+density matrix, kept as an independent reference for the split engine.
+Its explicit steps must resolve the fastest bare phase, which makes it
+slow on every device.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ MAX_POSITIVITY_CHECKPOINTS = 10
 # devices; see the step-halving validation option
 DEFAULT_SPLIT_STEP = 1.0
 DEFAULT_SPLIT_STEP_DIMENSIONLESS = 0.5
-RK45_SMALL_DIM = 36
 
 
 class IntegrationError(RuntimeError):
@@ -357,75 +352,6 @@ class TrajectoryResult:
         return out
 
 
-# -- Dormand-Prince 5(4) ------------------------------------------------------
-
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-class _AdaptiveStepper:
-    """Dormand-Prince 5(4) with step rejection on the flattened state."""
-
-    def __init__(self, rhs, y0: np.ndarray, rtol: float, atol: float = 1e-12):
-        self.rhs = rhs
-        self.y = y0
-        self.rtol = rtol
-        self.atol = atol
-        self.k1 = rhs(y0)
-        self.h = self._initial_step()
-        self.accepted = 0
-        self.rejected = 0
-
-    def _initial_step(self) -> float:
-        scale_y = float(np.abs(self.y).max())
-        scale_f = float(np.abs(self.k1).max())
-        if scale_f == 0.0:
-            return 1.0
-        return max(1e-8, 0.01 * max(scale_y, self.atol) / scale_f)
-
-    def advance_to(self, t_target: float, t_now: float) -> float:
-        t = t_now
-        while t < t_target:
-            h = min(self.h, t_target - t)
-            err, y5, k_last = self._attempt(h)
-            if err <= 1.0:
-                t += h
-                self.y = y5
-                self.k1 = k_last
-                self.accepted += 1
-                growth = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-                self.h = h * growth
-            else:
-                self.rejected += 1
-                self.h = h * max(0.2, 0.9 * err ** -0.2)
-                if self.h < 1e-12 * max(t_target, 1.0):
-                    raise IntegrationError(
-                        f"step size underflow at t={t:.6g} (h={self.h:.3e}, error {err:.3e})"
-                    )
-        return t
-
-    def _attempt(self, h: float):
-        k = [self.k1]
-        for row in _DP_A[1:]:
-            yi = self.y + h * sum(a * ki for a, ki in zip(row, k))
-            k.append(self.rhs(yi))
-        y5 = self.y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-        y4 = self.y + h * sum(b * ki for b, ki in zip(_DP_B4, k) if b != 0.0)
-        scale = self.atol + self.rtol * np.maximum(np.abs(self.y), np.abs(y5))
-        err = float((np.abs(y5 - y4) / scale).max())
-        return err, y5, k[-1]
-
-
 # -- engines ------------------------------------------------------------------
 
 class _SplitStepper:
@@ -477,9 +403,9 @@ class _SplitStepper:
         return rho
 
 
-def _resolve_method(method: str, dim: int) -> str:
+def _resolve_method(method: str) -> str:
     if method == "auto":
-        return "rk45" if dim <= RK45_SMALL_DIM else "split"
+        return "split"
     if method not in ("rk45", "split"):
         raise ValueError(f"unknown integration method {method!r}")
     return method
@@ -497,21 +423,27 @@ def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step):
     sampled = []
 
     if method == "rk45":
-        def rhs(flat):
+        from scipy.integrate import RK45
+
+        def rhs(_, flat):
             rho = flat.reshape(dim, dim)
             out = (-1j * (h_matrix @ rho - rho @ h_matrix)).ravel()
             if dissipator is not None:
                 out += dissipator @ flat
             return out
 
-        stepper = _AdaptiveStepper(rhs, rho0.ravel().copy(), rtol)
-        t_now = times[0]
+        solver = RK45(rhs, times[0], rho0.ravel(), times[-1], rtol=rtol, atol=1e-12)
+        steps = 0
         for t_target in times:
-            t_now = stepper.advance_to(t_target, t_now)
-            rho = stepper.y.reshape(dim, dim)
+            while solver.t < t_target:
+                message = solver.step()
+                steps += 1
+                if solver.status == "failed":
+                    raise IntegrationError(f"rk45 failed at t={solver.t:.6g}: {message}")
+            flat = solver.y if t_target == solver.t else solver.dense_output()(t_target)
+            rho = flat.reshape(dim, dim)
             herm_worst = max(herm_worst, float(np.abs(rho - rho.conj().T).max()))
             sampled.append((rho + rho.conj().T) / 2)
-        steps = stepper.accepted
     else:
         stepper = _SplitStepper(h_matrix, dissipator)
         rho = rho0.copy()
@@ -551,10 +483,11 @@ def evolve(
     obs : ObservableSet, optional
         Defaults to the per-atom / per-cavity standard set.
     method : {'auto', 'rk45', 'split'}
-        'auto' picks rk45 for small spaces and the split-step engine
-        otherwise.
+        'auto' is 'split', the split-step engine; 'rk45' is scipy's
+        adaptive Dormand-Prince 5(4), a slower reference.
     rtol : float
-        Local relative tolerance of the adaptive engine.
+        Local relative tolerance of 'rk45' (absolute tolerance 1e-12);
+        the split engine ignores it.
     step : float, optional
         Target fixed step of the split engine; must be positive and finite.
     interaction : {'rwa', 'full'}
@@ -605,7 +538,7 @@ def evolve(
     else:
         dt = t_final / (samples - 1)
         times = np.arange(samples) * dt
-    method = _resolve_method(method, space.total_dim)
+    method = _resolve_method(method)
 
     sampled, steps, herm_worst = _integrate(
         dev, space, h_matrix, rho0, times, method, rtol, step

@@ -213,6 +213,29 @@ class TestCoupling:
         assert code == 2
         assert "override" in err
 
+    @pytest.mark.parametrize(
+        "override", ["atoms.1.omega_e=nan", "edges.1.c.g_ge=inf", "cavities.c.n_max=inf"]
+    )
+    def test_non_finite_override_is_usage_error(self, device_files, capsys, override):
+        code, out, err = run_cli(
+            ["coupling", "--device", device_files["three"], "--set", override,
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: override") and err.count("\n") == 1
+
+    def test_n_max_below_two_is_usage_error(self, device_files, capsys):
+        code, out, err = run_cli(
+            ["coupling", "--device", device_files["three"], "--n-max", "1",
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: n-max must be at least 2\n"
+
     def test_bad_state_label_is_usage_error(self, device_files, capsys):
         code, _, err = run_cli(
             ["coupling", "--device", device_files["three"],
@@ -315,6 +338,19 @@ class TestDynamics:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --step") and err.count("\n") == 1
+        assert not (tmp_path / "dynamics.csv").exists()
+
+    def test_infinite_rate_is_usage_error(self, device_files, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"],
+             "--set", "cavities.c.kappa=inf",
+             "--initial", "0,e,g,g", "--t-final", "40", "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: override") and "kappa must be finite" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "dynamics.csv").exists()
 
     def test_negative_duration_fails(self, device_files, tmp_path, capsys):

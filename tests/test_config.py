@@ -80,6 +80,18 @@ def test_type_errors():
         parse_device({"atoms": [], "cavities": [{"label": "c", "omega_c": 6.0}], "edges": [], "unit_omega0": 1})
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_numbers_rejected(tmp_path, text):
+    path = tmp_path / "device.json"
+    path.write_text(
+        '{"atoms": [{"label": "1", "omega_e": 5.0}],'
+        f' "cavities": [{{"label": "c", "omega_c": 6.0, "kappa": {text}}}],'
+        ' "edges": [{"atom": "1", "cavity": "c", "g_ge": 1.0}]}'
+    )
+    with pytest.raises(ConfigError, match="kappa must be finite"):
+        load_device(path)
+
+
 def test_semantic_errors_become_config_errors():
     with pytest.raises(ConfigError, match="disconnected"):
         parse_device(

@@ -38,6 +38,26 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="two-level"):
             AtomSpec("a", 5.0, None, gamma_ei=0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: AtomSpec("a", v), "omega_e"),
+            (lambda v: AtomSpec("a", 5.0, v), "omega_i"),
+            (lambda v: AtomSpec("a", 5.0, 7.0, gamma_ge=v), "gamma_ge"),
+            (lambda v: AtomSpec("a", 5.0, 7.0, gamma_gi=v), "gamma_gi"),
+            (lambda v: AtomSpec("a", 5.0, 7.0, gamma_ei=v), "gamma_ei"),
+            (lambda v: CavitySpec("c", v), "omega_c"),
+            (lambda v: CavitySpec("c", 6.0, kappa=v), "kappa"),
+            (lambda v: CouplingEdge("a", "c", g_ge=v), "g_ge"),
+            (lambda v: CouplingEdge("a", "c", g_gi=v), "g_gi"),
+            (lambda v: CouplingEdge("a", "c", g_ei=v), "g_ei"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, build, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(bad)
+
     def test_cavity_truncation_floor(self):
         with pytest.raises(ValueError, match="n_max"):
             CavitySpec("c", 6.0, n_max=1)
