@@ -23,6 +23,7 @@ from .config import ConfigError, load_device
 from .device import (
     DeviceSpec,
     build_space,
+    get_parameter,
     parse_state_label,
     validate_dispersive,
     with_parameter,
@@ -67,8 +68,12 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise UsageError(f"bad range {text!r}: {exc}") from exc
     if npoints < 2:
         raise UsageError("range needs at least 2 points")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"range bounds must be finite, got {text!r}")
     if start == stop:
         raise UsageError("range is empty: start equals stop")
+    if start > stop:
+        raise UsageError(f"range must increase: start {start} exceeds stop {stop}")
     return start, stop, npoints
 
 
@@ -108,7 +113,7 @@ def _load_device(args) -> DeviceSpec:
     for path, value in _parse_overrides(getattr(args, "set", None) or []):
         try:
             dev = with_parameter(dev, path, value)
-        except (KeyError, ValueError, OverflowError) as exc:
+        except (KeyError, ValueError) as exc:
             raise UsageError(f"override {path!r}: {exc}") from exc
     for ratio in validate_dispersive(dev):
         if ratio.flagged:
@@ -144,10 +149,26 @@ def _state_units(dev: DeviceSpec) -> tuple[str, str]:
 
 # -- subcommands ---------------------------------------------------------------
 
+def _check_sweep(dev: DeviceSpec, path: str, start: float, stop: float) -> None:
+    """Reject a sweep path or range end that no device point can take."""
+    if path.endswith(".n_max"):
+        raise UsageError("cannot sweep n_max: it changes the space dimension")
+    try:
+        get_parameter(dev, path)
+        for value in (start, stop):
+            with_parameter(dev, path, value)
+    except ValueError as exc:
+        raise UsageError(f"sweep {path!r}: {exc}") from exc
+
+
 def cmd_spectrum(args) -> int:
     dev = _load_device(args)
     start, stop, npoints = _parse_range(args.range)
+    _check_sweep(dev, args.sweep, start, stop)
     levels = _parse_levels(args.levels) if args.levels else ()
+    dim = build_space(dev).total_dim
+    if any(level >= dim for level in levels):
+        raise UsageError(f"levels must be below the dimension {dim}, got {args.levels}")
     values = np.linspace(start, stop, npoints)
     result = sweep_spectrum(dev, args.sweep, values, levels=levels)
     selected = result.selected_energies() if levels else result.energies
@@ -161,7 +182,10 @@ def cmd_spectrum(args) -> int:
     _write_csv(out, header, rows)
     print(f"wrote {out} ({npoints} rows)")
     if levels:
-        report = find_resonance(dev, args.sweep, (start, stop), levels)
+        try:
+            report = find_resonance(dev, args.sweep, (start, stop), levels)
+        except ValueError as exc:
+            raise ComputationError(f"levels {args.levels}: {exc}") from exc
         gap = dev.angular_to_freq(report.gap)
         print(
             f"crossing of levels {report.levels[0]},{report.levels[1]}: "
@@ -202,7 +226,7 @@ def cmd_coupling(args) -> int:
     )
     for k, path in enumerate(coupling.paths):
         chain = " -> ".join(state.label() for state in path.states)
-        weight = dev.angular_to_rate(path.contribution.real)
+        weight = dev.angular_to_rate(path.contribution)
         print(f"  path {k}: {chain}  [{weight:.6g} {rate_unit}]")
     kinds = [k for k in CHI_KINDS if k.startswith("chi3" if args.order == 4 else "chi4")]
     for kind in kinds:

@@ -20,14 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hilbert import (
+    LEVEL_NAMES,
     BareState,
     CompositeSpace,
-    OperatorMatrix,
     SubsystemDef,
     build_space as _build_space,
-    embed,
-    ladder,
-    transition_projector,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -315,60 +312,66 @@ def parse_state_label(dev: DeviceSpec, space: CompositeSpace, text: str) -> Bare
     return bare_state(dev, space, fock, tuple(parts[n_cav:]))
 
 
-def build_bare_hamiltonian(dev: DeviceSpec, space: CompositeSpace) -> OperatorMatrix:
+def build_bare_hamiltonian(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
     """Uncoupled Hamiltonian: photon energy plus atomic level energies.
 
-    Diagonal in the bare basis; the eigenvalue on each product state equals
-    that state's bare energy.
+    Diagonal float64 matrix in the bare basis; the eigenvalue on each
+    product state equals that state's bare energy.
     """
-    return OperatorMatrix(space, np.diag(bare_energy_vector(dev, space).astype(complex)))
+    return np.diag(bare_energy_vector(dev, space))
 
 
-def _lowering_combo(dev: DeviceSpec, edge: CouplingEdge, dim: int) -> np.ndarray:
-    """g_ge|g><e| + g_ei|e><i| + g_gi|g><i| for one edge (rad/ns units)."""
-    op = dev.rate_to_angular(edge.g_ge) * transition_projector("g", "e", dim)
-    if dim == 3:
-        op = op + dev.rate_to_angular(edge.g_ei) * transition_projector("e", "i", dim)
-        op = op + dev.rate_to_angular(edge.g_gi) * transition_projector("g", "i", dim)
-    return op
+def _interaction(dev: DeviceSpec, space: CompositeSpace, counter_rotating: bool) -> np.ndarray:
+    """Real symmetric interaction assembled from index triples.
+
+    Every edge and coupled transition j <-> k (j below k) puts g a+|j><k|
+    on the states with the atom in k and room for one more photon; with
+    ``counter_rotating`` it also puts g a|j><k| on the states holding a
+    photon. Rows follow from the columns by the mixed-radix strides, and
+    the transpose adds the Hermitian conjugate. No two terms share an entry.
+    """
+    strides = space.strides
+    occ = space.occupation_arrays()
+    h = np.zeros((space.total_dim, space.total_dim))
+    for edge in dev.edges:
+        cav, atom = space.position(edge.cavity), space.position(edge.atom)
+        photons = occ[cav]
+        top = space.subsystems[cav].dimension - 1
+        photon_moves = [(strides[cav], photons < top, np.sqrt(photons + 1))]
+        if counter_rotating:
+            photon_moves.append((-strides[cav], photons > 0, np.sqrt(photons)))
+        for transition in TRANSITIONS[: 1 if space.subsystems[atom].dimension == 2 else 3]:
+            g = dev.rate_to_angular(edge.g(transition))
+            if g == 0.0:
+                continue
+            lower, upper = (LEVEL_NAMES.index(name) for name in transition)
+            drop = (upper - lower) * strides[atom]
+            for shift, room, factor in photon_moves:
+                cols = np.flatnonzero((occ[atom] == upper) & room)
+                rows = cols + shift - drop
+                h[rows, cols] = h[cols, rows] = g * factor[cols]
+    return h
 
 
-def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> OperatorMatrix:
+def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
     """Interaction Hamiltonian keeping only photon-creation/atom-lowering pairs.
 
     Each edge contributes a+ (g_ge|g><e| + g_ei|e><i| + g_gi|g><i|) plus the
-    adjoint. With cyclic three-level atoms this does not conserve the total
-    excitation number: the g-i term pairs one created photon with an atomic
-    drop worth two excitation quanta.
+    adjoint, as a real symmetric float64 matrix. With cyclic three-level
+    atoms this does not conserve the total excitation number: the g-i term
+    pairs one created photon with an atomic drop worth two excitation quanta.
     """
-    total = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for edge in dev.edges:
-        dim = space.subsystem(edge.atom).dimension
-        a_dag = embed(ladder("create", space.subsystem(edge.cavity).dimension), edge.cavity, space)
-        lower = embed(_lowering_combo(dev, edge, dim), edge.atom, space)
-        term = a_dag.entries @ lower.entries
-        total += term + term.conj().T
-    return OperatorMatrix(space, total)
+    return _interaction(dev, space, counter_rotating=False)
 
 
-def build_interaction_full(dev: DeviceSpec, space: CompositeSpace) -> OperatorMatrix:
+def build_interaction_full(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
     """Interaction Hamiltonian with counter-rotating terms retained.
 
     Each edge contributes (a + a+) g_jk (|j><k| + |k><j|) summed over the
-    coupled transitions. Diagnostics only; dynamics defaults to the
-    rotating-wave form.
+    coupled transitions, as a real symmetric float64 matrix. Diagnostics
+    only; dynamics defaults to the rotating-wave form.
     """
-    total = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for edge in dev.edges:
-        dim = space.subsystem(edge.atom).dimension
-        cav_dim = space.subsystem(edge.cavity).dimension
-        a_plus_adag = embed(
-            ladder("annihilate", cav_dim) + ladder("create", cav_dim), edge.cavity, space
-        )
-        combo = _lowering_combo(dev, edge, dim)
-        flip = embed(combo + combo.conj().T, edge.atom, space)
-        total += a_plus_adag.entries @ flip.entries
-    return OperatorMatrix(space, total)
+    return _interaction(dev, space, counter_rotating=True)
 
 
 @dataclass(frozen=True)
@@ -469,6 +472,8 @@ def with_parameter(dev: DeviceSpec, path: str, value: float) -> DeviceSpec:
     group, k, fieldname = _resolve_path(dev, path)
     items = list(getattr(dev, group))
     if fieldname == "n_max":
+        if not float(value).is_integer():
+            raise ValueError(f"n_max must be an integer, got {value!r}")
         value = int(value)
     items[k] = replace(items[k], **{fieldname: value})
     return replace(dev, **{group: tuple(items)})

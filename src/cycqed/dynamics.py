@@ -6,9 +6,12 @@ one nonzero entry per row and per column, so O†O is diagonal and the whole
 dissipator is one sparse superoperator on vec(ρ), built once per run with
 O(d²) nonzeros; each evaluation is one sparse matrix-vector product.
 
+The Hamiltonian is a real symmetric float64 matrix; only the density
+matrix, the propagators and the dissipator are complex.
+
 ``split`` is the integration engine: Strang splitting between the exact
-Hamiltonian flow (one spectral decomposition up front, then two matrix
-products per step) and a second-order Runge-Kutta kick of the prebuilt
+Hamiltonian flow (one real spectral decomposition up front, then two
+matrix products per step) and a second-order Runge-Kutta kick of the prebuilt
 dissipator (two sparse products per step). Strang splitting is itself
 second order, and the kick's own error is O((γh)³) with γh ≈ 1e-4, so a
 higher-order kick buys nothing. Exact for dissipation-free evolution at
@@ -36,7 +39,7 @@ from .device import (
     build_interaction_rwa,
     build_space,
 )
-from .hilbert import BareState, CompositeSpace, OperatorMatrix
+from .hilbert import BareState, CompositeSpace
 
 TRACE_TOL = 1e-6
 HERMITICITY_RTOL = 1e-9
@@ -236,8 +239,7 @@ def build_collapse_channels(
     dev: DeviceSpec, space: CompositeSpace
 ) -> tuple[CollapseChannel, ...]:
     """Gather-form collapse operators for every nonzero decay rate."""
-    dims = space.dims
-    strides = [int(np.prod(dims[k + 1 :], dtype=int)) for k in range(len(dims))]
+    strides = space.strides
     occ = space.occupation_arrays()
     channels: list[CollapseChannel] = []
     for cav in dev.cavities:
@@ -281,17 +283,6 @@ def _dissipator(channels, dim: int) -> sparse.csr_matrix | None:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dim * dim, dim * dim),
     )
-
-
-def lindblad_rhs(rho: DensityMatrix | np.ndarray, H: OperatorMatrix, dev: DeviceSpec) -> np.ndarray:
-    """Right-hand side of the master equation; its trace vanishes."""
-    entries = rho.entries if isinstance(rho, DensityMatrix) else rho
-    h = H.entries
-    out = -1j * (h @ entries - entries @ h)
-    dissipator = _dissipator(build_collapse_channels(dev, H.space), H.space.total_dim)
-    if dissipator is not None:
-        out += (dissipator @ entries.ravel()).reshape(out.shape)
-    return out
 
 
 # -- trajectory container -----------------------------------------------------
@@ -362,8 +353,7 @@ class _SplitStepper:
     """
 
     def __init__(self, h_matrix: np.ndarray, dissipator: sparse.csr_matrix | None):
-        sym = (h_matrix + h_matrix.conj().T) / 2
-        self.energies, self.basis = np.linalg.eigh(sym)
+        self.energies, self.basis = np.linalg.eigh(h_matrix)
         self.dissipator = dissipator
         self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self.steps = 0
@@ -371,8 +361,8 @@ class _SplitStepper:
     def _propagators(self, h: float):
         hit = self._cache.get(h)
         if hit is None:
-            half = (self.basis * np.exp(-0.5j * self.energies * h)) @ self.basis.conj().T
-            full = (self.basis * np.exp(-1j * self.energies * h)) @ self.basis.conj().T
+            half = (self.basis * np.exp(-0.5j * self.energies * h)) @ self.basis.T
+            full = (self.basis * np.exp(-1j * self.energies * h)) @ self.basis.T
             hit = (half, full)
             self._cache[h] = hit
         return hit
@@ -425,9 +415,12 @@ def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step):
     if method == "rk45":
         from scipy.integrate import RK45
 
+        # one complex copy up front: a real @ complex product casts on every call
+        h = h_matrix.astype(complex)
+
         def rhs(_, flat):
             rho = flat.reshape(dim, dim)
-            out = (-1j * (h_matrix @ rho - rho @ h_matrix)).ravel()
+            out = (-1j * (h @ rho - rho @ h)).ravel()
             if dissipator is not None:
                 out += dissipator @ flat
             return out
@@ -521,7 +514,7 @@ def evolve(
         h_int = build_interaction_full(dev, space)
     else:
         raise ValueError(f"unknown interaction form {interaction!r}")
-    h_matrix = build_bare_hamiltonian(dev, space).entries + h_int.entries
+    h_matrix = build_bare_hamiltonian(dev, space) + h_int
 
     if isinstance(initial, DensityMatrix):
         if initial.space.total_dim != space.total_dim:

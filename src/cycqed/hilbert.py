@@ -6,13 +6,16 @@ Basis indices use mixed-radix encoding with the first subsystem most
 significant, so the label ``|n, l1, l2, ...>`` maps to one contiguous row
 index and CSV state labels are reproducible.
 
-All operators are dense complex matrices; the dimensions in play stay a few
-hundred at most, so dense storage is the contract and sparse tricks are at
-best an internal optimization.
+Hamiltonians are real: every coupling of the rotating-wave and the
+counter-rotating forms is a real number, so the device layer assembles H as
+a dense float64 matrix from index triples on these strides. Only density
+matrices and propagators are complex. :func:`embed` keeps the Kronecker
+product form as a reference for that assembly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +25,6 @@ LEVEL_NAMES = ("g", "e", "i")
 
 # Excitation charge carried by each atom level (photons count 1 each).
 LEVEL_EXCITATION = {"g": 0, "e": 1, "i": 2}
-
-# A Hamiltonian-valued matrix must satisfy |H - H+|_max <= rtol * |H|_max.
-HERMITICITY_RTOL = 1e-12
 
 
 def level_index(level: int | str, dim: int) -> int:
@@ -105,6 +105,12 @@ class CompositeSpace:
     def atom_labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.subsystems if s.kind == "atom")
 
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Basis-index step of one unit of occupation in each subsystem."""
+        dims = self.dims
+        return tuple(math.prod(dims[k + 1:]) for k in range(len(dims)))
+
     def position(self, label: str) -> int:
         """Index of the labeled subsystem in the tensor order."""
         try:
@@ -152,54 +158,8 @@ class CompositeSpace:
         Entry k of the j-th array is the occupation of subsystem j in basis
         state k. Handy for building diagonal operators without loops.
         """
-        dims = self.dims
-        arrays = []
-        for k, dim in enumerate(dims):
-            left = int(np.prod(dims[:k], dtype=np.int64)) if k else 1
-            right = int(np.prod(dims[k + 1:], dtype=np.int64)) if k + 1 < len(dims) else 1
-            col = np.repeat(np.tile(np.arange(dim), left), right)
-            arrays.append(col)
-        return tuple(arrays)
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex operator tied to a composite space.
-
-    Hamiltonian-valued matrices are in angular frequency units (rad/ns);
-    ladder and projector operators are dimensionless.
-    """
-
-    space: CompositeSpace
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if mat.shape[0] != self.space.total_dim:
-            raise ValueError("operator dimension does not match the space")
-        object.__setattr__(self, "entries", mat)
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.space, self.entries.conj().T)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.space.total_dim != self.space.total_dim:
-            raise ValueError("cannot add operators on different spaces")
-        return OperatorMatrix(self.space, self.entries + other.entries)
-
-    def hermiticity_residual(self) -> float:
-        """max |H - H+| / max |H| (0 for the zero matrix)."""
-        scale = float(np.max(np.abs(self.entries)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)) / scale)
-
-    def require_hermitian(self, rtol: float = HERMITICITY_RTOL) -> None:
-        res = self.hermiticity_residual()
-        if res > rtol:
-            raise ValueError(f"matrix is not Hermitian (residual {res:.3e})")
+        index = np.arange(self.total_dim)
+        return tuple((index // stride) % dim for stride, dim in zip(self.strides, self.dims))
 
 
 @dataclass(frozen=True)
@@ -269,13 +229,13 @@ def ladder(kind: str, dim: int) -> np.ndarray:
     """
     if dim < 2:
         raise ValueError("ladder dimension must be at least 2")
-    a = np.zeros((dim, dim), dtype=complex)
+    a = np.zeros((dim, dim))
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
     if kind == "annihilate":
         return a
     if kind == "create":
-        return a.conj().T
+        return a.T
     raise ValueError(f"unknown ladder kind {kind!r}")
 
 
@@ -283,16 +243,18 @@ def transition_projector(j: int | str, k: int | str, dim: int) -> np.ndarray:
     """Matrix |j><k| on a dim-level atom, with a single unit entry at (j, k)."""
     jj = level_index(j, dim)
     kk = level_index(k, dim)
-    op = np.zeros((dim, dim), dtype=complex)
+    op = np.zeros((dim, dim))
     op[jj, kk] = 1.0
     return op
 
 
-def embed(local_op: np.ndarray, target: str, space: CompositeSpace) -> OperatorMatrix:
+def embed(local_op: np.ndarray, target: str, space: CompositeSpace) -> np.ndarray:
     """Promote a single-subsystem operator to the composite space.
 
     Computes I x ... x local_op x ... x I with the factor placed at the
-    target subsystem's position in the fixed tensor order.
+    target subsystem's position in the fixed tensor order. The package
+    assembles its Hamiltonians from index triples instead; this dense
+    product form is the reference they are tested against.
 
     Parameters
     ----------
@@ -304,23 +266,23 @@ def embed(local_op: np.ndarray, target: str, space: CompositeSpace) -> OperatorM
 
     Returns
     -------
-    OperatorMatrix
+    numpy.ndarray
+        Same dtype as ``local_op``.
     """
     pos = space.position(target)
     dims = space.dims
-    op = np.asarray(local_op, dtype=complex)
+    op = np.asarray(local_op)
     if op.shape != (dims[pos], dims[pos]):
         raise ValueError(
             f"operator shape {op.shape} does not match subsystem "
             f"{target!r} of dimension {dims[pos]}"
         )
-    left = int(np.prod(dims[:pos], dtype=np.int64)) if pos else 1
-    right = int(np.prod(dims[pos + 1:], dtype=np.int64)) if pos + 1 < len(dims) else 1
-    full = np.kron(np.kron(np.eye(left), op), np.eye(right))
-    return OperatorMatrix(space, full)
+    right = space.strides[pos]
+    left = space.total_dim // (dims[pos] * right)
+    return np.kron(np.kron(np.eye(left), op), np.eye(right))
 
 
-def total_excitation_operator(space: CompositeSpace) -> OperatorMatrix:
+def total_excitation_operator(space: CompositeSpace) -> np.ndarray:
     """Diagonal operator counting photons plus 1 per |e> and 2 per |i>."""
     diag = np.zeros(space.total_dim)
     for sub, occ in zip(space.subsystems, space.occupation_arrays()):
@@ -329,4 +291,4 @@ def total_excitation_operator(space: CompositeSpace) -> OperatorMatrix:
         else:
             charge = np.array([LEVEL_EXCITATION[LEVEL_NAMES[v]] for v in range(sub.dimension)])
             diag = diag + charge[occ]
-    return OperatorMatrix(space, np.diag(diag.astype(complex)))
+    return np.diag(diag)

@@ -29,7 +29,7 @@ from .device import (
     build_space,
     with_parameter,
 )
-from .hilbert import BareState, CompositeSpace, LEVEL_NAMES, OperatorMatrix
+from .hilbert import BareState, CompositeSpace, LEVEL_NAMES
 
 # Intermediates closer to the initial energy than floor_factor times the
 # smallest coupling make the path sum diverge; they are rejected loudly.
@@ -52,20 +52,19 @@ class TransitionPath:
     ----------
     states : tuple of BareState
         Full sequence, initial first, final last.
-    elements : tuple of complex
+    elements : tuple of float
         Interaction matrix elements along the steps (length = order).
     denominators : tuple of float
         E_initial - E_intermediate for every intermediate (length = order - 1).
     """
 
     states: tuple[BareState, ...]
-    elements: tuple[complex, ...]
+    elements: tuple[float, ...]
     denominators: tuple[float, ...]
 
     @property
-    def contribution(self) -> complex:
-        num = complex(np.prod(self.elements))
-        return num / float(np.prod(self.denominators))
+    def contribution(self) -> float:
+        return float(np.prod(self.elements)) / float(np.prod(self.denominators))
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class EffectiveCoupling:
     initial: BareState
     final: BareState
     order: int
-    lambda_eff: complex
+    lambda_eff: float
     paths: tuple[TransitionPath, ...]
 
     @property
@@ -125,8 +124,9 @@ def _photon_counts(space: CompositeSpace) -> np.ndarray:
 
 
 def enumerate_paths(
-    H0: OperatorMatrix,
-    HI: OperatorMatrix,
+    space: CompositeSpace,
+    energies: np.ndarray,
+    hi: np.ndarray,
     initial: BareState,
     final: BareState,
     order: int,
@@ -137,8 +137,11 @@ def enumerate_paths(
 
     Parameters
     ----------
-    H0, HI : OperatorMatrix
-        Bare (diagonal) and interaction Hamiltonians on the same space.
+    space : CompositeSpace
+    energies : numpy.ndarray
+        Bare energy of every basis state (the diagonal of H0).
+    hi : numpy.ndarray
+        Real interaction Hamiltonian on the same space.
     initial, final : BareState
         Must be degenerate within 10 times the largest coupling element.
     order : int
@@ -165,11 +168,8 @@ def enumerate_paths(
     length can create more), which keeps the search polynomial. A
     breadth-first distance map to the final state prunes dead branches.
     """
-    space = H0.space
     if order < 2:
         raise PerturbationError("order must be at least 2")
-    energies = np.real(np.diag(H0.entries))
-    hi = HI.entries
     nonzero = np.abs(hi) > 0
     if floor is None:
         magnitudes = np.abs(hi[nonzero])
@@ -269,13 +269,12 @@ def effective_coupling(
     """
     space = build_space(dev)
     energies = bare_energy_vector(dev, space)
-    h0 = OperatorMatrix(space, np.diag(energies.astype(complex)))
     hi = build_interaction_rwa(dev, space)
     g_max = max(
         dev.rate_to_angular(edge.g(t)) for edge in dev.edges for t in ("ge", "gi", "ei")
     )
     found = enumerate_paths(
-        h0, hi, initial, final, order, floor=floor, match_tol=MATCH_FACTOR * g_max
+        space, energies, hi, initial, final, order, floor=floor, match_tol=MATCH_FACTOR * g_max
     )
     if strict and found.rejected:
         worst = min(found.rejected, key=lambda r: abs(r.denominator))
@@ -284,7 +283,7 @@ def effective_coupling(
             f"nearest offender {worst.offender.label()} with defect "
             f"{worst.denominator:.3e} (perturbation theory invalid here)"
         )
-    lam = complex(sum(p.contribution for p in found.paths))
+    lam = float(sum(p.contribution for p in found.paths))
     return EffectiveCoupling(initial, final, order, lam, found.paths)
 
 

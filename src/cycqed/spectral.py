@@ -1,9 +1,11 @@
 """Exact diagonalization, parameter sweeps, and avoided-crossing location.
 
-Eigenvalues are always reported sorted ascending and in the device's
-angular-frequency units. Levels are addressed by 0-based sorted index, not
-by adiabatic continuation; branch identity across a crossing is read off
-the reported bare-state content instead.
+Hamiltonians arrive as real symmetric float64 matrices and are decomposed
+with real ``eigh``/``eigvalsh``. Eigenvalues are always reported sorted
+ascending and in the device's angular-frequency units. Levels are
+addressed by 0-based sorted index, not by adiabatic continuation; branch
+identity across a crossing is read off the reported bare-state content
+instead.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import golden as _golden_section
 
 from .device import DeviceSpec, build_bare_hamiltonian, build_interaction_rwa, build_space, with_parameter
-from .hilbert import OperatorMatrix
+
+# A Hamiltonian must satisfy |H - H^T|_max <= rtol * |H|_max.
+SYMMETRY_RTOL = 1e-12
 
 # Gram matrix of the eigenvector set must match identity this tightly.
 ORTHONORMALITY_TOL = 1e-9
@@ -39,8 +42,8 @@ class SpectrumResult:
         Selected 0-based level indices (for CSV output and track plots).
     vectors : numpy.ndarray or None
         Eigenvectors of the selected levels only, shape
-        (len(values), total_dim, len(levels)); phase-fixed so the
-        largest-magnitude component of each vector is real positive.
+        (len(values), total_dim, len(levels)); sign-fixed so the
+        largest-magnitude component of each vector is positive.
     """
 
     parameter: str
@@ -81,40 +84,39 @@ class CrossingReport:
                     raise ValueError("branch weights exceed 1")
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        lead = col[np.argmax(np.abs(col))]
-        if lead != 0:
-            out[:, k] = col * (abs(lead) / lead)
-    return out
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude component of each column positive."""
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(lead < 0, -1.0, 1.0)
 
 
-def diagonalize(H: OperatorMatrix, want_vectors: bool = True):
-    """Eigen-decompose a Hermitian operator.
+def diagonalize(H: np.ndarray, want_vectors: bool = True):
+    """Eigen-decompose a real symmetric Hamiltonian.
 
     Parameters
     ----------
-    H : OperatorMatrix
-        Must be Hermitian within the operator tolerance.
+    H : numpy.ndarray
+        Real square matrix, symmetric within relative residual 1e-12.
     want_vectors : bool
-        Skip eigenvector computation (and phase fixing) when False.
+        Skip eigenvector computation (and sign fixing) when False.
 
     Returns
     -------
     (eigenvalues, eigenvectors)
-        Ascending real eigenvalues; eigenvectors as columns, orthonormal
+        Ascending eigenvalues; real eigenvectors as columns, orthonormal
         with Gram residual at most 1e-9, or None if not requested.
     """
-    H.require_hermitian()
-    herm = 0.5 * (H.entries + H.entries.conj().T)
+    if np.iscomplexobj(H):
+        raise TypeError("Hamiltonian must be a real array")
+    scale = float(np.max(np.abs(H)))
+    residual = float(np.max(np.abs(H - H.T)))
+    if residual > SYMMETRY_RTOL * scale:
+        raise ValueError(f"matrix is not Hermitian (residual {residual / scale:.3e})")
     if not want_vectors:
-        return np.linalg.eigvalsh(herm), None
-    energies, vectors = np.linalg.eigh(herm)
-    vectors = _fix_phases(vectors)
-    gram = vectors.conj().T @ vectors
+        return np.linalg.eigvalsh(H), None
+    energies, vectors = np.linalg.eigh(H)
+    vectors = _fix_signs(vectors)
+    gram = vectors.T @ vectors
     residual = np.max(np.abs(gram - np.eye(gram.shape[0])))
     if residual > ORTHONORMALITY_TOL:
         raise RuntimeError(f"eigenvector set lost orthonormality ({residual:.3e})")
@@ -123,8 +125,7 @@ def diagonalize(H: OperatorMatrix, want_vectors: bool = True):
 
 def _hamiltonian(dev: DeviceSpec):
     space = build_space(dev)
-    h = build_bare_hamiltonian(dev, space).entries + build_interaction_rwa(dev, space).entries
-    return space, OperatorMatrix(space, h)
+    return space, build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
 
 
 def sweep_spectrum(
@@ -146,7 +147,7 @@ def sweep_spectrum(
     levels : tuple of int
         0-based sorted level indices to tag (and to keep vectors for).
     want_vectors : bool
-        Store phase-fixed eigenvectors of the selected levels.
+        Store sign-fixed eigenvectors of the selected levels.
 
     Returns
     -------
@@ -161,7 +162,7 @@ def sweep_spectrum(
         if not 0 <= level < dim:
             raise ValueError(f"level index {level} out of range for dimension {dim}")
     energies = np.empty((values.size, dim))
-    vectors = np.empty((values.size, dim, len(levels)), dtype=complex) if want_vectors else None
+    vectors = np.empty((values.size, dim, len(levels))) if want_vectors else None
     for k, value in enumerate(values):
         point = with_parameter(dev, parameter, float(value))
         space, h = _hamiltonian(point)
@@ -169,7 +170,7 @@ def sweep_spectrum(
             raise ValueError("sweep parameter changes the space dimension")
         evals, evecs = diagonalize(h, want_vectors=want_vectors)
         # eigh eigenvalue sum must reproduce the trace
-        trace = float(np.trace(h.entries).real)
+        trace = float(np.trace(h))
         scale = max(abs(trace), float(np.sum(np.abs(evals))), 1e-300)
         if abs(evals.sum() - trace) > 1e-10 * scale:
             raise RuntimeError("eigenvalue sum drifted from the trace")
@@ -229,8 +230,10 @@ def find_resonance(
     k = int(np.argmin(gaps))
     if k == 0 or k == coarse_points - 1:
         raise ValueError("no interior gap minimum in the bracket")
+    from scipy.optimize import golden
+
     location = float(
-        _golden_section(gap_at, brack=(grid[k - 1], grid[k], grid[k + 1]), tol=CROSSING_XTOL)
+        golden(gap_at, brack=(grid[k - 1], grid[k], grid[k + 1]), tol=CROSSING_XTOL)
     )
     gap = gap_at(location)
 

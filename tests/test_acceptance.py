@@ -486,7 +486,7 @@ def test_criterion_09_property_suite():
         initial = parse_state_label(dev, space, ",".join((str(fock),) + levels))
         base = standard_observables(dev, space)
         n_t = Observable(
-            "n_t", matrix=total_excitation_operator(space).entries.astype(complex)
+            "n_t", matrix=total_excitation_operator(space).astype(complex)
         )
         obs = ObservableSet(base.observables + (n_t,))
         method = "rk45" if space.total_dim <= 36 else "split"
@@ -513,7 +513,7 @@ def test_criterion_09_property_suite():
         )
         base_d = standard_observables(doubled, space_d)
         n_t_d = Observable(
-            "n_t", matrix=total_excitation_operator(space_d).entries.astype(complex)
+            "n_t", matrix=total_excitation_operator(space_d).astype(complex)
         )
         obs_d = ObservableSet(base_d.observables + (n_t_d,))
         traj_d = evolve(

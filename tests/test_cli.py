@@ -112,6 +112,38 @@ class TestSpectrum:
         assert code == 2
         assert "points" in err
 
+    @pytest.mark.parametrize(
+        "sweep, span, levels, message",
+        [
+            ("atoms.1.omega_e", "1.07:1.02:21", "6,7", "error: range must increase"),
+            ("atoms.1.omega_e", "1.02:inf:21", "6,7", "error: range bounds must be finite"),
+            ("atoms.9.omega_e", "1.02:1.07:21", "6,7", "error: sweep 'atoms.9.omega_e'"),
+            ("atoms.1.omega_e", "0:1.07:21", "6,7", "error: sweep 'atoms.1.omega_e'"),
+            ("cavities.c.n_max", "2:3:2", "6,7", "error: cannot sweep n_max"),
+            ("atoms.1.omega_e", "1.02:1.07:21", "6,999", "error: levels must be below"),
+        ],
+    )
+    def test_bad_sweep_is_usage_error(self, device_files, tmp_path, capsys, sweep, span,
+                                      levels, message):
+        code, out, err = run_cli(
+            ["spectrum", "--device", device_files["fig2"], "--sweep", sweep,
+             "--range", span, "--levels", levels, "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_no_interior_minimum_is_computation_error(self, device_files, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["spectrum", "--device", device_files["fig2"], "--sweep", "atoms.1.omega_e",
+             "--range", "1.02:1.03:21", "--levels", "6,7", "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 1
+        assert err == "error: levels 6,7: no interior gap minimum in the bracket\n"
+
     def test_flagged_device_warns_but_runs(self, tmp_path, capsys):
         dev = make_crossing_sweep_device()
         hot = replace(dev, edges=(replace(dev.edges[0], g_ge=0.2),) + dev.edges[1:])
@@ -225,6 +257,16 @@ class TestCoupling:
         assert code == 2
         assert out == ""
         assert err.startswith("error: override") and err.count("\n") == 1
+
+    def test_non_integer_n_max_override_is_usage_error(self, device_files, capsys):
+        code, out, err = run_cli(
+            ["coupling", "--device", device_files["three"], "--set", "cavities.c.n_max=2.7",
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: override 'cavities.c.n_max': n_max must be an integer, got 2.7\n"
 
     def test_n_max_below_two_is_usage_error(self, device_files, capsys):
         code, out, err = run_cli(

@@ -1,11 +1,18 @@
 """Device validation, Hamiltonian assembly, and dispersive diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycqed.device import (
+    TRANSITIONS,
     AtomSpec,
     CavitySpec,
     CouplingEdge,
@@ -20,7 +27,7 @@ from cycqed.device import (
     validate_dispersive,
     with_parameter,
 )
-from cycqed.hilbert import total_excitation_operator
+from cycqed.hilbert import embed, ladder, total_excitation_operator, transition_projector
 
 from conftest import make_three_atom_device, make_two_cavity_device
 
@@ -111,7 +118,7 @@ class TestBareHamiltonian:
     def test_table_energies(self):
         dev = make_three_atom_device()
         sp = build_space(dev)
-        h0 = build_bare_hamiltonian(dev, sp).entries
+        h0 = build_bare_hamiltonian(dev, sp)
         excited = bare_state(dev, sp, (0,), ("e", "g", "g"))
         assert h0[excited.index, excited.index].real == pytest.approx(TWO_PI * 7.966)
         vacuum = bare_state(dev, sp, (0,), ("g", "g", "g"))
@@ -122,7 +129,7 @@ class TestBareHamiltonian:
     def test_diagonal_matches_state_energy(self):
         dev = make_two_cavity_device(n_max=2)
         sp = build_space(dev)
-        h0 = build_bare_hamiltonian(dev, sp).entries
+        h0 = build_bare_hamiltonian(dev, sp)
         np.testing.assert_array_equal(h0, np.diag(np.diag(h0)))
         st = bare_state(dev, sp, (1, 2), ("e", "i", "g"))
         assert h0[st.index, st.index].real == pytest.approx(st.energy)
@@ -132,7 +139,7 @@ class TestInteractionHamiltonian:
     def test_rwa_matrix_elements(self):
         dev = make_three_atom_device()
         sp = build_space(dev)
-        hi = build_interaction_rwa(dev, sp).entries
+        hi = build_interaction_rwa(dev, sp)
         excited = bare_state(dev, sp, (0,), ("e", "g", "g"))
         photon = bare_state(dev, sp, (1,), ("g", "g", "g"))
         # photon creation against atomic lowering, 150 MHz on atom 1
@@ -147,14 +154,14 @@ class TestInteractionHamiltonian:
             for g in ("g_ge", "g_gi", "g_ei"):
                 dev = with_parameter(dev, f"edges.{path}.c.{g}", 0.0)
         sp = build_space(dev)
-        assert np.count_nonzero(build_interaction_rwa(dev, sp).entries) == 0
-        assert np.count_nonzero(build_interaction_full(dev, sp).entries) == 0
+        assert np.count_nonzero(build_interaction_rwa(dev, sp)) == 0
+        assert np.count_nonzero(build_interaction_full(dev, sp)) == 0
 
     def test_full_adds_counter_rotating_terms(self):
         dev = make_three_atom_device()
         sp = build_space(dev)
-        rwa = build_interaction_rwa(dev, sp).entries
-        full = build_interaction_full(dev, sp).entries
+        rwa = build_interaction_rwa(dev, sp)
+        full = build_interaction_full(dev, sp)
         vacuum = bare_state(dev, sp, (0,), ("g", "g", "g"))
         raised = bare_state(dev, sp, (1,), ("e", "g", "g"))
         assert rwa[raised.index, vacuum.index] == 0
@@ -171,16 +178,100 @@ class TestInteractionHamiltonian:
             edges=(CouplingEdge("1", "c", g_ge=100.0), CouplingEdge("2", "c", g_ge=80.0)),
         )
         sp = build_space(dev)
-        h = build_bare_hamiltonian(dev, sp).entries + build_interaction_rwa(dev, sp).entries
-        nt = total_excitation_operator(sp).entries
+        h = build_bare_hamiltonian(dev, sp) + build_interaction_rwa(dev, sp)
+        nt = total_excitation_operator(sp)
         np.testing.assert_allclose(h @ nt - nt @ h, 0, atol=1e-12)
 
     def test_excitation_not_conserved_with_cyclic_atom(self):
         dev = make_three_atom_device()
         sp = build_space(dev)
-        h = build_bare_hamiltonian(dev, sp).entries + build_interaction_rwa(dev, sp).entries
-        nt = total_excitation_operator(sp).entries
+        h = build_bare_hamiltonian(dev, sp) + build_interaction_rwa(dev, sp)
+        nt = total_excitation_operator(sp)
         assert np.max(np.abs(h @ nt - nt @ h)) > 1.0
+
+
+def kron_interaction(dev, space, counter_rotating):
+    """Reference interaction from Kronecker-embedded dense factors.
+
+    Each edge adds P (sum_jk g_jk |j><k|) plus its transpose, with P = a+
+    in the rotating-wave form and P = a + a+ with counter-rotating terms.
+    """
+    d = space.total_dim
+    total = np.zeros((d, d))
+    for edge in dev.edges:
+        dim = space.subsystem(edge.atom).dimension
+        cav_dim = space.subsystem(edge.cavity).dimension
+        lower = sum(
+            dev.rate_to_angular(edge.g(t)) * transition_projector(t[0], t[1], dim)
+            for t in TRANSITIONS[: 1 if dim == 2 else 3]
+        )
+        photon = ladder("create", cav_dim)
+        if counter_rotating:
+            photon = photon + ladder("annihilate", cav_dim)
+        term = embed(photon, edge.cavity, space) @ embed(lower, edge.atom, space)
+        total += term + term.T
+    return total
+
+
+@st.composite
+def random_devices(draw):
+    """1-3 two- or three-level atoms on 1-2 cavities with n_max 2-4.
+
+    The first atom couples to every cavity, so the graph is connected;
+    each other atom couples to a nonempty subset. Couplings may be zero.
+    """
+    n_cav = draw(st.integers(1, 2))
+    cavities = tuple(
+        CavitySpec(f"c{k}", draw(st.floats(1.0, 10.0)), n_max=draw(st.integers(2, 4)))
+        for k in range(n_cav)
+    )
+    coupling = st.one_of(st.just(0.0), st.floats(1e-3, 300.0))
+    atoms, edges = [], []
+    for k in range(draw(st.integers(1, 3))):
+        omega_e = draw(st.floats(1.0, 10.0))
+        three = draw(st.booleans())
+        omega_i = omega_e + draw(st.floats(0.1, 5.0)) if three else None
+        atoms.append(AtomSpec(f"a{k}", omega_e, omega_i))
+        targets = cavities if k == 0 else draw(
+            st.lists(st.sampled_from(cavities), min_size=1, max_size=n_cav, unique=True)
+        )
+        for cav in targets:
+            g = {"g_ge": draw(coupling)}
+            if three:
+                g.update(g_gi=draw(coupling), g_ei=draw(coupling))
+            edges.append(CouplingEdge(f"a{k}", cav.label, **g))
+    return DeviceSpec(cavities, tuple(atoms), tuple(edges), unit_omega0=draw(st.booleans()))
+
+
+class TestIndexFormAgainstKron:
+    @settings(deadline=None, max_examples=60)
+    @given(random_devices())
+    def test_matches_kron_reference(self, dev):
+        sp = build_space(dev)
+        forms = ((build_interaction_rwa, False), (build_interaction_full, True))
+        for build, counter_rotating in forms:
+            h = build(dev, sp)
+            assert h.dtype == np.float64
+            np.testing.assert_array_equal(h, h.T)
+            ref = kron_interaction(dev, sp, counter_rotating)
+            scale = max(float(np.abs(ref).max()), 1e-300)
+            assert float(np.abs(h - ref).max()) <= 1e-14 * scale
+        h0 = build_bare_hamiltonian(dev, sp)
+        assert h0.dtype == np.float64
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            "import sys, cycqed; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestValidateDispersive:
@@ -219,6 +310,12 @@ class TestParameterPaths:
         assert get_parameter(nudged, "atoms.1.omega_e") == 8.0
         assert get_parameter(dev, "atoms.1.omega_e") == 7.966
         assert get_parameter(with_parameter(dev, "cavities.c.n_max", 7), "cavities.c.n_max") == 7
+        assert get_parameter(with_parameter(dev, "cavities.c.n_max", 3.0), "cavities.c.n_max") == 3
+
+    @pytest.mark.parametrize("value", [2.7, 3.5, math.nan])
+    def test_non_integer_n_max_rejected(self, value):
+        with pytest.raises(ValueError, match="n_max"):
+            with_parameter(make_three_atom_device(), "cavities.c.n_max", value)
 
     def test_bad_paths(self):
         dev = make_three_atom_device()

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycqed.hilbert import (
-    OperatorMatrix,
     SubsystemDef,
     build_space,
     embed,
@@ -118,11 +117,11 @@ class TestEmbed:
     def test_identity(self):
         sp = space_cavity_atoms([3], [2])
         out = embed(np.eye(3), "c0", sp)
-        np.testing.assert_array_equal(out.entries, np.eye(6))
+        np.testing.assert_array_equal(out, np.eye(6))
 
     def test_ladder_blocks(self):
         sp = space_cavity_atoms([3], [2])
-        a = embed(ladder("annihilate", 3), "c0", sp).entries
+        a = embed(ladder("annihilate", 3), "c0", sp)
         # a|n,l> = sqrt(n)|n-1,l>, atom untouched
         for n in (1, 2):
             for l in (0, 1):
@@ -135,7 +134,7 @@ class TestEmbed:
         sp = space_cavity_atoms([2], [3, 3])
         ge = embed(transition_projector("g", "e", 3), "a1", sp)
         eg = embed(transition_projector("e", "g", 3), "a1", sp)
-        np.testing.assert_array_equal(ge.dagger().entries, eg.entries)
+        np.testing.assert_array_equal(ge.conj().T, eg)
 
     def test_dimension_mismatch(self):
         sp = space_cavity_atoms([3], [2])
@@ -151,8 +150,8 @@ class TestEmbed:
         sp = space_cavity_atoms([cav_dim], [atom_dim])
         A = rng.normal(size=(atom_dim, atom_dim)) + 1j * rng.normal(size=(atom_dim, atom_dim))
         B = rng.normal(size=(atom_dim, atom_dim)) + 1j * rng.normal(size=(atom_dim, atom_dim))
-        lhs = embed(A @ B, "a0", sp).entries
-        rhs = embed(A, "a0", sp).entries @ embed(B, "a0", sp).entries
+        lhs = embed(A @ B, "a0", sp)
+        rhs = embed(A, "a0", sp) @ embed(B, "a0", sp)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     @settings(deadline=None)
@@ -160,15 +159,15 @@ class TestEmbed:
     def test_different_subsystems_commute(self, cav_dim, atom_dim, seed):
         rng = np.random.default_rng(seed)
         sp = space_cavity_atoms([cav_dim], [atom_dim])
-        A = embed(rng.normal(size=(cav_dim, cav_dim)), "c0", sp).entries
-        B = embed(rng.normal(size=(atom_dim, atom_dim)), "a0", sp).entries
+        A = embed(rng.normal(size=(cav_dim, cav_dim)), "c0", sp)
+        B = embed(rng.normal(size=(atom_dim, atom_dim)), "a0", sp)
         np.testing.assert_allclose(A @ B, B @ A, atol=1e-12)
 
 
 class TestTotalExcitation:
     def test_charges(self):
         sp = space_cavity_atoms([2], [3, 3, 3])
-        nt = total_excitation_operator(sp).entries
+        nt = total_excitation_operator(sp)
         expect = {(0, 1, 0, 0): 1, (0, 0, 1, 1): 2, (1, 0, 2, 0): 3}
         for occ, charge in expect.items():
             idx = sp.index_of(occ)
@@ -176,26 +175,9 @@ class TestTotalExcitation:
 
     def test_diagonal_nonnegative_integers(self):
         sp = space_cavity_atoms([3, 2], [2, 3])
-        nt = total_excitation_operator(sp).entries
+        nt = total_excitation_operator(sp)
         np.testing.assert_array_equal(nt, np.diag(np.diag(nt)))
         diag = np.diag(nt).real
         np.testing.assert_array_equal(diag, np.round(diag))
         assert diag.min() >= 0
 
-
-class TestOperatorMatrix:
-    def test_shape_validation(self):
-        sp = space_cavity_atoms([2], [2])
-        with pytest.raises(ValueError):
-            OperatorMatrix(sp, np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            OperatorMatrix(sp, np.zeros((4, 3)))
-
-    def test_hermiticity_residual(self):
-        sp = space_cavity_atoms([2], [2])
-        h = OperatorMatrix(sp, np.eye(4))
-        assert h.hermiticity_residual() == 0
-        bad = np.eye(4, dtype=complex)
-        bad[0, 1] = 1e-3
-        with pytest.raises(ValueError, match="Hermitian"):
-            OperatorMatrix(sp, bad).require_hermitian()

@@ -20,7 +20,6 @@ from cycqed.device import (
     build_space,
     with_parameter,
 )
-from cycqed.hilbert import OperatorMatrix
 from cycqed.perturbation import (
     PerturbationError,
     closed_form_chi,
@@ -61,9 +60,7 @@ def exchange_states(dev):
 
 
 def full_hamiltonian(dev, space):
-    h0 = build_bare_hamiltonian(dev, space)
-    hi = build_interaction_rwa(dev, space)
-    return OperatorMatrix(space, h0.entries + hi.entries)
+    return build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
 
 
 class TestPathEnumeration:
@@ -138,11 +135,9 @@ class TestPathEnumeration:
         ec = effective_coupling(dev, i, f, order=4, strict=False)
         assert len(ec.paths) == 1
         space = build_space(dev)
-        h0 = OperatorMatrix(
-            space, np.diag(bare_energy_vector(dev, space).astype(complex))
-        )
+        energies = bare_energy_vector(dev, space)
         hi = build_interaction_rwa(dev, space)
-        found = enumerate_paths(h0, hi, i, f, order=4)
+        found = enumerate_paths(space, energies, hi, i, f, order=4)
         assert found.rejected
         assert all(r.offender.label() == "0,g,g,i" for r in found.rejected)
         assert all(abs(r.denominator) < 1e-6 for r in found.rejected)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from cycqed.device import CavitySpec, AtomSpec, CouplingEdge, DeviceSpec, build_space, build_bare_hamiltonian, with_parameter
-from cycqed.hilbert import OperatorMatrix
 from cycqed.spectral import CrossingReport, diagonalize, find_resonance, sweep_spectrum
 
 from conftest import make_crossing_sweep_device
@@ -38,7 +37,7 @@ class TestDiagonalize:
         space = build_space(dev)
         h0 = build_bare_hamiltonian(dev, space)
         evals, vecs = diagonalize(h0)
-        np.testing.assert_allclose(np.sort(np.diag(h0.entries).real), evals, atol=1e-12)
+        np.testing.assert_allclose(np.sort(np.diag(h0)), evals, atol=1e-12)
         assert vecs.shape == (space.total_dim, space.total_dim)
 
     def test_two_by_two_splitting(self):
@@ -49,28 +48,43 @@ class TestDiagonalize:
             unit_omega0=True,
         )
         space = build_space(dev)
-        mat = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+        mat = np.zeros((space.total_dim, space.total_dim))
         i1 = space.index_of((0, 1))
         i2 = space.index_of((1, 0))
         g = 0.5
         mat[i1, i2] = mat[i2, i1] = g
-        evals, _ = diagonalize(OperatorMatrix(space, mat))
+        evals, _ = diagonalize(mat)
         nonzero = evals[np.abs(evals) > 1e-12]
         np.testing.assert_allclose(np.sort(nonzero), [-g, g], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         dev = make_crossing_sweep_device()
         space = build_space(dev)
-        mat = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+        mat = np.zeros((space.total_dim, space.total_dim))
         mat[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
-            diagonalize(OperatorMatrix(space, mat))
+            diagonalize(mat)
+        with pytest.raises(TypeError, match="real"):
+            diagonalize(np.eye(space.total_dim, dtype=complex))
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            diagonalize(np.zeros((4, 3)))
+
+    def test_hermiticity_residual(self):
+        evals, _ = diagonalize(np.eye(4))
+        np.testing.assert_array_equal(evals, np.ones(4))
+        bad = np.eye(4)
+        bad[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            diagonalize(bad)
 
     def test_phase_fixing(self):
         dev = make_crossing_sweep_device()
         space = build_space(dev)
         h0 = build_bare_hamiltonian(dev, space)
         _, vecs = diagonalize(h0)
+        assert vecs.dtype == np.float64
         for k in range(vecs.shape[1]):
             lead = vecs[np.argmax(np.abs(vecs[:, k])), k]
             assert lead.imag == pytest.approx(0.0, abs=1e-12)
