@@ -174,6 +174,12 @@ def cmd_spectrum(args) -> int:
     selected = result.selected_energies() if levels else result.energies
     shown = levels if levels else tuple(range(selected.shape[1]))
     header = [args.sweep] + [f"level_{k}" for k in shown]
+    report = None
+    if levels:
+        try:
+            report = find_resonance(dev, args.sweep, (start, stop), levels)
+        except ValueError as exc:
+            raise ComputationError(f"levels {args.levels}: {exc}") from exc
     out = _outdir(args) / "spectrum.csv"
     rows = (
         [x] + [dev.angular_to_freq(e) for e in row]
@@ -181,11 +187,7 @@ def cmd_spectrum(args) -> int:
     )
     _write_csv(out, header, rows)
     print(f"wrote {out} ({npoints} rows)")
-    if levels:
-        try:
-            report = find_resonance(dev, args.sweep, (start, stop), levels)
-        except ValueError as exc:
-            raise ComputationError(f"levels {args.levels}: {exc}") from exc
+    if report is not None:
         gap = dev.angular_to_freq(report.gap)
         print(
             f"crossing of levels {report.levels[0]},{report.levels[1]}: "

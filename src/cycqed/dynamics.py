@@ -18,6 +18,15 @@ higher-order kick buys nothing. Exact for dissipation-free evolution at
 any step size; the fixed step is validated by halving (``validate=True``).
 ``auto`` resolves to ``split``.
 
+When one class of two or three identical atoms leaves H, the dissipator and
+the initial state unchanged under permutation, ρ(t) stays block diagonal in
+the isotypic sectors of S_2 or S_3, ρ = ⊕_λ ρ_λ ⊗ 1_{d_λ}, and ``split``
+evolves only the blocks ρ_λ: one zgemm pair per block and two sparse
+products with the reduced dissipator per step. Every sample is lifted back
+to the full space. Permutational invariance under local dissipation is
+standard for identical emitters (Shammah et al., PRA 98, 063815 (2018);
+Gegg and Richter, NJP 18, 043037 (2016)).
+
 ``rk45`` is scipy's adaptive Dormand-Prince 5(4) on the vectorized
 density matrix, kept as an independent reference for the split engine.
 Its explicit steps must resolve the fastest bare phase, which makes it
@@ -26,8 +35,9 @@ slow on every device.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import sparse
@@ -297,6 +307,8 @@ class TrajectoryResult:
     largest third-level population, ``max_photon`` the largest mean photon
     number. ``min_eigenvalue`` comes from the positivity checkpoints,
     ``validation_residual`` from the optional step-halving rerun.
+    ``sectors`` lists the sizes of the permutation-symmetry blocks the
+    split engine evolved, and is () when it evolved the full ρ.
     """
 
     times: np.ndarray
@@ -316,6 +328,7 @@ class TrajectoryResult:
     max_leakage: float | None = None
     max_photon: float | None = None
     states: tuple[DensityMatrix, ...] | None = None
+    sectors: tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
@@ -343,54 +356,239 @@ class TrajectoryResult:
         return out
 
 
+# -- permutation-symmetry sectors ---------------------------------------------
+
+INVARIANCE_TOL = 1e-14
+
+
+def _identical_atoms(dev: DeviceSpec) -> tuple[str, ...]:
+    """Labels of the device's one class of 2 or 3 identical atoms, else ().
+
+    Two atoms are identical when every ``AtomSpec`` field but the label is
+    equal and they have equal edges to the same cavities. No class, several
+    classes or a larger one give ().
+    """
+    classes: dict = {}
+    for atom in dev.atoms:
+        spec = tuple(getattr(atom, f.name) for f in fields(atom) if f.name != "label")
+        edges = frozenset(
+            tuple(getattr(e, f.name) for f in fields(e) if f.name != "atom")
+            for e in dev.edges
+            if e.atom == atom.label
+        )
+        classes.setdefault((spec, edges), []).append(atom.label)
+    found = [labels for labels in classes.values() if len(labels) > 1]
+    if len(found) != 1 or len(found[0]) > 3:
+        return ()
+    return tuple(found[0])
+
+
+def _irreps(group: list[np.ndarray]) -> list[np.ndarray]:
+    """Real orthogonal irreps of S_2 or S_3, each as the stack of D_λ(g) over the group.
+
+    The group elements are slot permutation matrices. The irreps are the
+    trivial one, then (for S_3) the two-dimensional standard irrep on the
+    plane orthogonal to (1, 1, 1), then the sign.
+    """
+    stacks = [np.ones((len(group), 1, 1))]
+    if len(group[0]) == 3:
+        plane = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]])
+        plane /= np.linalg.norm(plane, axis=0)
+        stacks.append(np.array([plane.T @ m @ plane for m in group]))
+    stacks.append(np.array([round(np.linalg.det(m)) for m in group], dtype=float).reshape(-1, 1, 1))
+    return stacks
+
+
+def _transfer(reps: np.ndarray, actions: list[np.ndarray], a: int) -> np.ndarray:
+    """P_λ^{a1} = (d_λ/|G|) Σ_g D_λ(g)_{a1} P(g) on the local configurations."""
+    size = len(actions[0])
+    op = np.zeros((size, size))
+    for rep, action in zip(reps, actions):
+        op[action, np.arange(size)] += reps.shape[1] / len(reps) * rep[a, 0]
+    return op
+
+
+@dataclass(frozen=True)
+class _Sectors:
+    """Isotypic blocks of the states invariant under permuting identical atoms.
+
+    ``sizes`` are the block dimensions m_λ. On row-major vecs, ``reduce``
+    maps ρ to the stacked vec(ρ_λ) with ρ_λ = W_{λ,1}ᵀ ρ W_{λ,1}, and
+    ``lift`` maps back with ρ = Σ_λ Σ_a W_{λ,a} ρ_λ W_{λ,a}ᵀ.
+    """
+
+    sizes: tuple[int, ...]
+    reduce: sparse.csr_matrix
+    lift: sparse.csr_matrix
+
+    def superoperator(self, op: sparse.csr_matrix) -> sparse.csr_matrix:
+        """The block form reduce · op · lift of a superoperator that commutes with the group.
+
+        Entries that vanish exactly come out of the sparse products as
+        cancellation residue near 1e-17 of the largest entry; they are dropped.
+        """
+        out = (self.reduce @ op @ self.lift).tocsr()
+        out.data[np.abs(out.data) < 1e-12 * np.abs(out.data).max()] = 0.0
+        out.eliminate_zeros()
+        return out
+
+
+def _symmetry_sectors(dev: DeviceSpec, space: CompositeSpace, rho0: np.ndarray) -> _Sectors | None:
+    """Sector maps when a class of identical atoms leaves ρ0 invariant, else None.
+
+    The group permutes the class atoms' occupations, so it acts on the
+    n^k local configurations of the class and leaves every other subsystem
+    alone. The copies W_{λ,a} come from the transfer operators
+    P_λ^{ab} = (d_λ/|G|) Σ_g D_λ(g)_{ab} P(g): W_{λ,1} is an orthonormal basis
+    of the range of P_λ^{11}, taken one orbit of configurations at a time,
+    and W_{λ,a} = P_λ^{a1} W_{λ,1}. Every column lives on one orbit, with at
+    most |G| nonzero entries.
+    """
+    labels = _identical_atoms(dev)
+    if not labels:
+        return None
+    slots = len(labels)
+    positions = [space.position(label) for label in labels]
+    n = space.dims[positions[0]]
+    configs = np.array(list(itertools.product(range(n), repeat=slots)))
+    radix = n ** np.arange(slots - 1, -1, -1)
+    group = [np.eye(slots, dtype=int)[list(p)] for p in itertools.permutations(range(slots))]
+    # local action of each group element: configuration c goes to m c
+    actions = [configs @ m.T @ radix for m in group]
+
+    occ = space.occupation_arrays()
+    offsets = configs @ np.array([space.strides[p] for p in positions])
+    # index of each basis state's class configuration among ``configs``
+    local = sum(occ[p] * r for p, r in zip(positions, radix))
+    # index of the same state with every class atom in its ground level
+    base = np.arange(space.total_dim) - offsets[local]
+    # adjacent transpositions generate the group; each is its own inverse
+    for action in actions[1:slots]:
+        perm = base + offsets[action[local]]
+        if np.abs(rho0[np.ix_(perm, perm)] - rho0).max() > INVARIANCE_TOL:
+            return None
+
+    orbits: dict = {}
+    for c, config in enumerate(configs):
+        orbits.setdefault(tuple(sorted(config)), []).append(c)
+    bases = np.flatnonzero(local == 0)
+    sizes, reduce, lift = [], [], []
+    for reps in _irreps(group):
+        projector = _transfer(reps, actions, 0)
+        first = []
+        for orbit in orbits.values():
+            values, vectors = np.linalg.eigh(projector[np.ix_(orbit, orbit)])
+            for vector in vectors[:, values > 0.5].T:
+                column = np.zeros(len(configs))
+                column[orbit] = vector
+                first.append(column)
+        if not first:
+            continue
+        local_w = np.array(first).T
+        copies = [
+            _embed_copy(_transfer(reps, actions, a) @ local_w, bases, offsets, space.total_dim)
+            for a in range(reps.shape[1])
+        ]
+        sizes.append(copies[0].shape[1])
+        reduce.append(sparse.kron(copies[0].T, copies[0].T))
+        lift.append(sum(sparse.kron(w, w) for w in copies))
+    return _Sectors(
+        tuple(sizes),
+        sparse.vstack(reduce, format="csr"),
+        sparse.hstack(lift, format="csr"),
+    )
+
+
+def _embed_copy(local_w, bases, offsets, dim) -> sparse.csr_matrix:
+    """A copy W_{λ,a} on the full space from its columns on the class configurations.
+
+    Every local column repeats once for each state of the other subsystems
+    (``bases``, each with the class atoms in their ground level).
+    """
+    rows, cols = np.nonzero(local_w)
+    m = local_w.shape[1]
+    return sparse.csr_matrix(
+        (
+            np.tile(local_w[rows, cols], len(bases)),
+            (
+                (bases[:, None] + offsets[rows]).ravel(),
+                (np.arange(len(bases))[:, None] * m + cols).ravel(),
+            ),
+        ),
+        shape=(dim, len(bases) * m),
+    )
+
+
 # -- engines ------------------------------------------------------------------
+
+def _propagator(energies: np.ndarray, basis: np.ndarray, t: float):
+    """e^{−iHt} from H's real eigenbasis as two real products, with its adjoint."""
+    u = np.empty(basis.shape, dtype=complex)
+    u.real = (basis * np.cos(energies * t)) @ basis.T
+    u.imag = (basis * -np.sin(energies * t)) @ basis.T
+    return u, u.conj().T
+
 
 class _SplitStepper:
     """Strang splitting: exact eigenbasis unitary around a second-order dissipator kick.
 
-    A step costs one zgemm pair and two products with the prebuilt sparse
-    superoperator; without one, a sample interval is one exact propagator.
+    The state is the stacked row-major vec of one or more diagonal blocks;
+    the full path has a single block of size d. A step costs one zgemm pair
+    per block and two products with the prebuilt sparse superoperator on the
+    stacked vec; without one, a sample interval is one exact propagator per
+    block.
     """
 
-    def __init__(self, h_matrix: np.ndarray, dissipator: sparse.csr_matrix | None):
-        self.energies, self.basis = np.linalg.eigh(h_matrix)
+    def __init__(self, h_flat: np.ndarray, sizes, dissipator: sparse.csr_matrix | None):
+        ends = itertools.accumulate(m * m for m in sizes)
+        self.slices = [(slice(end - m * m, end), m) for end, m in zip(ends, sizes)]
+        self.spectra = [np.linalg.eigh(h) for h in self.blocks(h_flat)]
         self.dissipator = dissipator
-        self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[float, list] = {}
         self.steps = 0
 
-    def _propagators(self, h: float):
-        hit = self._cache.get(h)
+    def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of the square blocks stacked in a row-major vec."""
+        return [flat[part].reshape(m, m) for part, m in self.slices]
+
+    def _propagators(self, t: float) -> list:
+        """e^{−iH_λ t} and its adjoint for every block."""
+        hit = self._cache.get(t)
         if hit is None:
-            half = (self.basis * np.exp(-0.5j * self.energies * h)) @ self.basis.T
-            full = (self.basis * np.exp(-1j * self.energies * h)) @ self.basis.T
-            hit = (half, full)
-            self._cache[h] = hit
+            hit = [_propagator(energies, basis, t) for energies, basis in self.spectra]
+            self._cache[t] = hit
         return hit
 
-    def _kick(self, rho: np.ndarray, h: float) -> np.ndarray:
-        # Heun's step; for the linear generator D it is 1 + hD + (hD)²/2
-        flat = rho.ravel()
-        k1 = self.dissipator @ flat
-        k2 = self.dissipator @ (flat + h * k1)
-        return (flat + (0.5 * h) * (k1 + k2)).reshape(rho.shape)
+    def _rotate(self, flat: np.ndarray, t: float) -> np.ndarray:
+        out = np.empty_like(flat)
+        for (part, m), (u, u_adj) in zip(self.slices, self._propagators(t)):
+            np.matmul(u @ flat[part].reshape(m, m), u_adj, out=out[part].reshape(m, m))
+        return out
 
-    def advance(self, rho: np.ndarray, interval: float, h_target: float) -> np.ndarray:
+    def _kick(self, flat: np.ndarray, h: float) -> np.ndarray:
+        # Heun's step; for the linear generator D it is 1 + hD + (hD)²/2,
+        # evaluated as flat + hD(flat + (h/2)D flat)
+        half = self.dissipator @ flat
+        half *= 0.5 * h
+        half += flat
+        out = self.dissipator @ half
+        out *= h
+        out += flat
+        return out
+
+    def advance(self, flat: np.ndarray, interval: float, h_target: float) -> np.ndarray:
         if interval <= 0.0:
-            return rho
+            return flat
         n = max(1, math.ceil(interval / h_target - 1e-12))
         h = interval / n
         if self.dissipator is None:
-            _, full = self._propagators(interval)
             self.steps += 1
-            return full @ rho @ full.conj().T
-        half, full = self._propagators(h)
-        rho = half @ rho @ half.conj().T
+            return self._rotate(flat, interval)
+        flat = self._rotate(flat, 0.5 * h)
         for k in range(n):
-            rho = self._kick(rho, h)
-            prop = full if k < n - 1 else half
-            rho = prop @ rho @ prop.conj().T
+            flat = self._rotate(self._kick(flat, h), h if k < n - 1 else 0.5 * h)
             self.steps += 1
-        return rho
+        return flat
 
 
 def _resolve_method(method: str) -> str:
@@ -401,15 +599,23 @@ def _resolve_method(method: str) -> str:
     return method
 
 
-def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step):
+def _min_eigenvalue(blocks) -> float:
+    return min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+
+
+def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step, checkpoints=()):
     """Core loop shared by the main run and the validation rerun.
 
-    Returns sampled density matrices (as raw arrays, symmetrized) plus
-    the pre-symmetrization diagnostics.
+    Returns the sampled density matrices (d × d arrays, Hermitian; to
+    rounding when lifted from symmetry blocks),
+    the step count, the worst pre-symmetrization Hermiticity residual, the
+    smallest eigenvalue over the ``checkpoints`` sample indices (inf without
+    any) and the sizes of the symmetry blocks evolved (() on the full path).
     """
     dim = space.total_dim
     dissipator = _dissipator(build_collapse_channels(dev, space), dim)
     herm_worst = 0.0
+    min_eig = math.inf
     sampled = []
 
     if method == "rk45":
@@ -437,17 +643,33 @@ def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step):
             rho = flat.reshape(dim, dim)
             herm_worst = max(herm_worst, float(np.abs(rho - rho.conj().T).max()))
             sampled.append((rho + rho.conj().T) / 2)
+        for k in checkpoints:
+            min_eig = min(min_eig, _min_eigenvalue([sampled[k]]))
+        return sampled, steps, herm_worst, min_eig, ()
+
+    sectors = _symmetry_sectors(dev, space, rho0)
+    if sectors is None:
+        sizes, flat, h_flat = (dim,), rho0.ravel().copy(), h_matrix.ravel()
     else:
-        stepper = _SplitStepper(h_matrix, dissipator)
-        rho = rho0.copy()
-        sampled.append(rho.copy())
-        for prev, t_target in zip(times[:-1], times[1:]):
-            rho = stepper.advance(rho, t_target - prev, step)
-            herm_worst = max(herm_worst, float(np.abs(rho - rho.conj().T).max()))
-            rho = (rho + rho.conj().T) / 2
-            sampled.append(rho.copy())
-        steps = stepper.steps
-    return sampled, steps, herm_worst
+        sizes, flat, h_flat = (
+            sectors.sizes, sectors.reduce @ rho0.ravel(), sectors.reduce @ h_matrix.ravel()
+        )
+        if dissipator is not None:
+            dissipator = sectors.superoperator(dissipator)
+    stepper = _SplitStepper(h_flat, sizes, dissipator)
+    for k in range(len(times)):
+        if k:
+            flat = stepper.advance(flat, times[k] - times[k - 1], step)
+            for block in stepper.blocks(flat):
+                herm_worst = max(herm_worst, float(np.abs(block - block.conj().T).max()))
+                block[...] = (block + block.conj().T) / 2
+        if sectors is None:
+            sampled.append(flat.reshape(dim, dim).copy())
+        else:
+            sampled.append((sectors.lift @ flat).reshape(dim, dim))
+        if k in checkpoints:
+            min_eig = min(min_eig, _min_eigenvalue(stepper.blocks(flat)))
+    return sampled, stepper.steps, herm_worst, min_eig, () if sectors is None else sizes
 
 
 def evolve(
@@ -477,7 +699,13 @@ def evolve(
         Defaults to the per-atom / per-cavity standard set.
     method : {'auto', 'rk45', 'split'}
         'auto' is 'split', the split-step engine; 'rk45' is scipy's
-        adaptive Dormand-Prince 5(4), a slower reference.
+        adaptive Dormand-Prince 5(4), a slower reference that always runs
+        on the full space. 'split' evolves only the permutation-symmetry
+        blocks when the device has one class of two or three identical
+        atoms and the initial state is invariant under permuting them (a
+        bare state with equal levels in the class, or a density matrix
+        within 1e-14 of its permuted copy); ``sectors`` on the result
+        reports the block sizes.
     rtol : float
         Local relative tolerance of 'rk45' (absolute tolerance 1e-12);
         the split engine ignores it.
@@ -533,8 +761,11 @@ def evolve(
         times = np.arange(samples) * dt
     method = _resolve_method(method)
 
-    sampled, steps, herm_worst = _integrate(
-        dev, space, h_matrix, rho0, times, method, rtol, step
+    # positivity at evenly spaced checkpoints
+    n_check = min(len(times), MAX_POSITIVITY_CHECKPOINTS)
+    check_idx = sorted(set(np.linspace(0, len(times) - 1, n_check).astype(int)))
+    sampled, steps, herm_worst, min_eig, sectors = _integrate(
+        dev, space, h_matrix, rho0, times, method, rtol, step, check_idx
     )
 
     warnings: list[str] = []
@@ -565,12 +796,6 @@ def evolve(
     if trace_worst > TRACE_TOL:
         warnings.append(f"trace drifted by {trace_worst:.3e}")
 
-    # positivity at evenly spaced checkpoints
-    n_check = min(len(sampled), MAX_POSITIVITY_CHECKPOINTS)
-    check_idx = sorted(set(np.linspace(0, len(sampled) - 1, n_check).astype(int)))
-    min_eig = math.inf
-    for k in check_idx:
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(sampled[k])[0]))
     if min_eig < POSITIVITY_FLOOR:
         warnings.append(f"positivity violated: min eigenvalue {min_eig:.3e}")
 
@@ -586,7 +811,7 @@ def evolve(
     validation_residual = None
     if validate and t_final > 0.0:
         finer = (rtol, step / 2) if method == "split" else (rtol / 10, step)
-        again, _, _ = _integrate(dev, space, h_matrix, rho0, times, method, *finer)
+        again = _integrate(dev, space, h_matrix, rho0, times, method, *finer)[0]
         validation_residual = 0.0
         for k, rho in enumerate(again):
             vals = obs.evaluate(rho)
@@ -623,6 +848,7 @@ def evolve(
         states=(
             tuple(DensityMatrix(space, r) for r in sampled) if keep_states else None
         ),
+        sectors=sectors,
     )
 
 

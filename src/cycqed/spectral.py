@@ -156,11 +156,8 @@ def sweep_spectrum(
     values = np.asarray(list(values), dtype=float)
     if values.size == 0:
         raise ValueError("sweep needs at least one value")
-    space0 = build_space(dev)
-    dim = space0.total_dim
-    for level in levels:
-        if not 0 <= level < dim:
-            raise ValueError(f"level index {level} out of range for dimension {dim}")
+    dim = build_space(dev).total_dim
+    _check_levels(levels, dim)
     energies = np.empty((values.size, dim))
     vectors = np.empty((values.size, dim, len(levels))) if want_vectors else None
     for k, value in enumerate(values):
@@ -178,6 +175,12 @@ def sweep_spectrum(
         if want_vectors:
             vectors[k] = evecs[:, list(levels)]
     return SpectrumResult(parameter, values, energies, tuple(levels), vectors)
+
+
+def _check_levels(levels, dim: int) -> None:
+    for level in levels:
+        if not 0 <= level < dim:
+            raise ValueError(f"level index {level} out of range for dimension {dim}")
 
 
 def _dominant_content(space, vector: np.ndarray, top_k: int = 3) -> dict[str, float]:
@@ -218,6 +221,7 @@ def find_resonance(
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     l1, l2 = sorted(int(l) for l in levels)
+    _check_levels((l1, l2), build_space(dev).total_dim)
 
     def gap_at(x: float) -> float:
         point = with_parameter(dev, parameter, x)

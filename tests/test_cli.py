@@ -136,13 +136,16 @@ class TestSpectrum:
         assert not (tmp_path / "spectrum.csv").exists()
 
     def test_no_interior_minimum_is_computation_error(self, device_files, tmp_path, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["spectrum", "--device", device_files["fig2"], "--sweep", "atoms.1.omega_e",
              "--range", "1.02:1.03:21", "--levels", "6,7", "--outdir", tmp_path],
             capsys,
         )
         assert code == 1
         assert err == "error: levels 6,7: no interior gap minimum in the bracket\n"
+        # a failed run leaves no output behind
+        assert out == ""
+        assert not (tmp_path / "spectrum.csv").exists()
 
     def test_flagged_device_warns_but_runs(self, tmp_path, capsys):
         dev = make_crossing_sweep_device()

@@ -9,6 +9,7 @@ must reproduce the adaptive integration on devices small enough for both.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import make_three_atom_device
+from conftest import make_four_atom_device, make_three_atom_device, make_two_cavity_device
 from cycqed import dynamics
 from cycqed.device import (
     AtomSpec,
@@ -406,6 +407,149 @@ class TestExactOracle:
             np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-12)
             error = max(float(np.abs(s.entries - e).max()) for s, e in zip(traj.states, exact))
             assert error <= bound, method
+
+
+    def test_symmetric_device_within_bound_on_its_blocks(self):
+        rng = np.random.default_rng([20261019, len(ORACLE_STRUCTURES)])
+        base = oracle_device(rng, (2,), (2, 2), True)
+        dev = replace(
+            base,
+            atoms=base.atoms + (replace(base.atoms[1], label="3"),),
+            edges=base.edges + (replace(base.edges[1], atom="3"),),
+        )
+        space = build_space(dev)
+        d = space.total_dim
+        assert d <= 30
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi /= np.linalg.norm(psi)
+        pure = np.outer(psi, psi.conj())
+        perm = swap_permutation(space, "2", "3")
+        rho0 = DensityMatrix(space, (pure + pure[np.ix_(perm, perm)]) / 2)
+        times = np.linspace(0.0, 20.0, 11)
+        exact = exact_states(dev, rho0.entries, times)
+        traj = evolve(dev, rho0, times[-1], samples=len(times), method="split",
+                      keep_states=True)
+        assert traj.sectors == (18, 6)
+        error = max(float(np.abs(s.entries - e).max()) for s, e in zip(traj.states, exact))
+        assert error <= ORACLE_SPLIT_BOUND
+
+
+def swap_permutation(space, a: str, b: str) -> np.ndarray:
+    """Basis permutation that exchanges the occupations of subsystems a and b."""
+    occ = space.occupation_arrays()
+    pa, pb = space.position(a), space.position(b)
+    shift = (occ[pb] - occ[pa]) * space.strides[pa] + (occ[pa] - occ[pb]) * space.strides[pb]
+    return np.arange(space.total_dim) + shift
+
+
+# (levels of the identical atoms, their number, levels of the distinct atom);
+# with one cavity at n_max = 2 the dimension is 24, 36, 48 or 54
+SYMMETRIC_STRUCTURES = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)]
+# rates this small keep the 0.5 split step stable (h times every decay rate
+# below 0.3), so the block and full runs differ by rounding alone; unstable
+# runs grow without bound and so do their absolute differences
+SYMMETRIC_RATES = st.one_of(st.just(0.0), st.floats(1e-4, 0.05))
+
+
+@st.composite
+def symmetric_runs(draw):
+    """A class of identical atoms beside one distinct atom, with an invariant bare state."""
+    class_levels, size, distinct_levels = draw(st.sampled_from(SYMMETRIC_STRUCTURES))
+
+    def atom(label, omega_e, levels):
+        rates = ("gamma_ge", "gamma_gi", "gamma_ei")[: 1 if levels == 2 else 3]
+        omega_i = omega_e + 0.7 if levels == 3 else None
+        return AtomSpec(label, omega_e, omega_i, **{r: draw(SYMMETRIC_RATES) for r in rates})
+
+    def edge(label, levels):
+        names = ("g_ge", "g_gi", "g_ei")[: 1 if levels == 2 else 3]
+        return CouplingEdge(label, "c", **{n: draw(st.floats(0.005, 0.05)) for n in names})
+
+    twin, twin_edge = atom("2", 1.0, class_levels), edge("2", class_levels)
+    labels = [str(k + 2) for k in range(size)]
+    dev = DeviceSpec(
+        cavities=(CavitySpec("c", 1.5, kappa=draw(SYMMETRIC_RATES), n_max=2),),
+        atoms=(atom("1", 1.2, distinct_levels),)
+        + tuple(replace(twin, label=label) for label in labels),
+        edges=(edge("1", distinct_levels),)
+        + tuple(replace(twin_edge, atom=label) for label in labels),
+        unit_omega0=True,
+    )
+    names = ("g", "e", "i")
+    fock = (draw(st.integers(0, 2)),)
+    levels = (draw(st.sampled_from(names[:distinct_levels])),)
+    levels += (draw(st.sampled_from(names[:class_levels])),) * size
+    return dev, fock, levels
+
+
+class TestSymmetrySectors:
+    """The split engine on permutation-symmetry blocks against its full path."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(symmetric_runs())
+    def test_blocks_match_full_path(self, run):
+        dev, fock, levels = run
+        space = build_space(dev)
+        initial = bare_state(dev, space, fock, levels)
+        final = bare_state(dev, space, (0,), ("e",) * len(levels))
+        obs = standard_observables(dev, space, initial, final)
+
+        def run_split():
+            return evolve(dev, initial, 20.0, samples=5, obs=obs, method="split", step=0.5,
+                          keep_states=True)
+
+        blocks = run_split()
+        with pytest.MonkeyPatch.context() as mp:
+            # no public knob selects the path; the detector is forced to decline
+            mp.setattr(dynamics, "_symmetry_sectors", lambda *args: None)
+            full = run_split()
+        assert blocks.sectors and max(blocks.sectors) < space.total_dim
+        assert full.sectors == ()
+        assert blocks.steps == full.steps
+        assert max_column_deviation(blocks, full) <= 1e-11
+        for a, b in zip(blocks.states, full.states):
+            assert float(np.abs(a.entries - b.entries).max()) <= 1e-11
+        assert blocks.min_eigenvalue == pytest.approx(full.min_eigenvalue, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "make, fock, levels, sectors",
+        [
+            (make_three_atom_device, (0,), ("e", "g", "g"), (54, 27)),
+            (make_four_atom_device, (0,), ("e", "g", "g", "g"), (90, 72, 9)),
+            (make_three_atom_device, (0,), ("g", "e", "g"), ()),
+            (make_two_cavity_device, (0, 0), ("e", "g", "g"), ()),
+        ],
+    )
+    def test_sectors_taken_only_for_invariant_bare_states(self, make, fock, levels, sectors):
+        dev = make(n_max=2)
+        traj = evolve(dev, bare_state(dev, build_space(dev), fock, levels), 2.0, samples=3)
+        assert traj.method == "split"
+        assert traj.sectors == sectors
+
+    def test_atoms_differing_in_one_rate_take_full_path(self):
+        dev = make_three_atom_device(n_max=2)
+        dev = replace(dev, atoms=dev.atoms[:2] + (replace(dev.atoms[2], gamma_ge=0.02),))
+        initial = bare_state(dev, build_space(dev), (0,), ("e", "g", "g"))
+        assert evolve(dev, initial, 2.0, samples=3).sectors == ()
+
+    @pytest.mark.parametrize(
+        "mixed, sectors",
+        [((("g", "e", "g"), ("g", "g", "e")), (54, 27)), ((("e", "g", "g"), ("g", "e", "g")), ())],
+    )
+    def test_density_matrix_needs_invariance(self, mixed, sectors):
+        dev = make_three_atom_device(n_max=2)
+        space = build_space(dev)
+        rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+        for levels in mixed:
+            index = bare_state(dev, space, (0,), levels).index
+            rho[index, index] = 0.5
+        assert evolve(dev, DensityMatrix(space, rho), 2.0, samples=3).sectors == sectors
+
+    def test_rk45_takes_full_path(self):
+        dev = make_three_atom_device(n_max=2)
+        initial = bare_state(dev, build_space(dev), (0,), ("e", "g", "g"))
+        traj = evolve(dev, initial, 1.0, samples=3, method="rk45")
+        assert traj.method == "rk45" and traj.sectors == ()
 
 
 def lindblad_rhs(rho: DensityMatrix | np.ndarray, h: np.ndarray, dev: DeviceSpec) -> np.ndarray:

@@ -167,6 +167,15 @@ class TestFindResonance:
                 make_crossing_sweep_device(), "atoms.1.omega_e", (1.06, 1.10), (6, 7)
             )
 
+    @pytest.mark.parametrize("levels", [(6, 999), (6, 162), (-1, 7)])
+    def test_level_out_of_range_rejected_before_scan(self, levels, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("diagonalized before checking the levels")
+
+        monkeypatch.setattr("cycqed.spectral.diagonalize", no_scan)
+        with pytest.raises(ValueError, match="out of range for dimension 162"):
+            find_resonance(make_crossing_sweep_device(), "atoms.1.omega_e", (1.02, 1.07), levels)
+
 
 class TestBranchShape:
     def test_far_detuned_slopes_and_flat_value(self):
