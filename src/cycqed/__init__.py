@@ -7,139 +7,80 @@ crossings, evaluates effective multi-atom couplings by high-order
 perturbative path sums, and integrates dissipative Lindblad dynamics.
 """
 
-from .hilbert import (
-    BareState,
-    CompositeSpace,
-    SubsystemDef,
-    embed,
-    ladder,
-    total_excitation_operator,
-    transition_projector,
-)
+from .hilbert import BareState, CompositeSpace
 from .device import (
     AtomSpec,
     CavitySpec,
     CouplingEdge,
     DeviceSpec,
-    bare_state,
-    build_bare_hamiltonian,
-    build_interaction_full,
-    build_interaction_rwa,
     build_space,
     get_parameter,
     parse_state_label,
-    validate_dispersive,
     with_parameter,
 )
 from .config import ConfigError, load_device, save_device
-from .spectral import (
-    CrossingReport,
-    SpectrumResult,
-    diagonalize,
-    find_resonance,
-    sweep_spectrum,
-)
-from .perturbation import (
-    CHI_KINDS,
-    DispersiveShifts,
-    EffectiveCoupling,
-    PathSearchResult,
-    PerturbationError,
-    closed_form_chi,
-    effective_coupling,
-    enumerate_paths,
-    matched_control_frequency,
-    second_order_shifts,
-)
+from .spectral import CrossingReport, SpectrumResult, find_resonance, sweep_spectrum
+from .perturbation import EffectiveCoupling, PerturbationError, closed_form_chi, effective_coupling
 from .dynamics import (
-    CollapseChannel,
     DensityMatrix,
     IntegrationError,
     Observable,
     ObservableSet,
     TrajectoryResult,
-    build_collapse_channels,
     entanglement_checkpoint,
     evolve,
     extract_period,
     standard_observables,
 )
 from .scenarios import (
-    EvolvePlan,
-    MetricCheck,
+    SCENARIO_NAMES,
     MetricSpec,
     Scenario,
     ScenarioReport,
-    SweepPlan,
     load_scenario,
     load_scenario_file,
     locate_crossing,
     run_scenario,
-    SCENARIO_NAMES,
-    scenario_text,
 )
 
 __all__ = [
     "AtomSpec",
     "BareState",
-    "CHI_KINDS",
     "CavitySpec",
-    "CollapseChannel",
     "CompositeSpace",
     "ConfigError",
     "CouplingEdge",
     "CrossingReport",
     "DensityMatrix",
     "DeviceSpec",
-    "DispersiveShifts",
     "EffectiveCoupling",
-    "EvolvePlan",
     "IntegrationError",
-    "MetricCheck",
     "MetricSpec",
     "Observable",
     "ObservableSet",
-    "PathSearchResult",
     "PerturbationError",
     "SCENARIO_NAMES",
     "Scenario",
     "ScenarioReport",
     "SpectrumResult",
-    "SubsystemDef",
-    "SweepPlan",
     "TrajectoryResult",
-    "bare_state",
-    "build_bare_hamiltonian",
-    "build_collapse_channels",
-    "build_interaction_full",
-    "build_interaction_rwa",
     "build_space",
     "closed_form_chi",
-    "diagonalize",
     "effective_coupling",
-    "embed",
     "entanglement_checkpoint",
-    "enumerate_paths",
     "evolve",
     "extract_period",
     "find_resonance",
     "get_parameter",
-    "ladder",
     "load_device",
     "load_scenario",
     "load_scenario_file",
     "locate_crossing",
-    "matched_control_frequency",
     "parse_state_label",
     "run_scenario",
     "save_device",
-    "scenario_text",
-    "second_order_shifts",
     "standard_observables",
     "sweep_spectrum",
-    "total_excitation_operator",
-    "transition_projector",
-    "validate_dispersive",
     "with_parameter",
 ]
 

@@ -216,6 +216,8 @@ def cmd_coupling(args) -> int:
         final = parse_state_label(dev, space, args.final)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if initial.index == final.index:
+        raise UsageError(f"--initial and --final are the same state {initial.label()}")
     try:
         coupling = effective_coupling(dev, initial, final, args.order)
     except PerturbationError as exc:
@@ -249,6 +251,12 @@ def cmd_coupling(args) -> int:
 def cmd_dynamics(args) -> int:
     if args.step is not None and not (math.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be positive and finite, got {args.step}")
+    if not (math.isfinite(args.t_final) and args.t_final >= 0):
+        raise UsageError(f"--t-final must be nonnegative and finite, got {args.t_final}")
+    if args.t_final > 0 and args.samples < 2:
+        raise UsageError(
+            f"--samples must be at least 2 for a positive --t-final, got {args.samples}"
+        )
     dev = _load_device(args)
     space = build_space(dev)
     try:
@@ -302,9 +310,7 @@ def cmd_check(args) -> int:
             f"unknown scenario(s): {', '.join(unknown)}; "
             f"bundled: {', '.join(SCENARIO_NAMES)}"
         )
-    scenarios = []
-    for name in chosen:
-        scenarios.append(load_scenario(name))
+    scenarios = [load_scenario(name) for name in chosen]
     for path in args.scenario_file or []:
         try:
             scenarios.append(load_scenario_file(path))

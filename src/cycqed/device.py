@@ -288,12 +288,11 @@ def bare_state(
         occs.append(int(n))
     energy = sum(dev.freq_to_angular(c.omega_c) * n for n, c in zip(fock, dev.cavities))
     for name, atom in zip(levels, dev.atoms):
-        if name not in ("g", "e", "i")[: atom.levels]:
+        if name not in LEVEL_NAMES[: atom.levels]:
             raise ValueError(f"level {name!r} invalid for atom {atom.label!r}")
-        occs.append(("g", "e", "i").index(name))
+        occs.append(LEVEL_NAMES.index(name))
         energy += dev.level_energy(atom.label, name)
-    index = space.index_of(tuple(occs))
-    return BareState(tuple(int(n) for n in fock), tuple(levels), float(energy), index)
+    return BareState.at(space, space.index_of(tuple(occs)), energy)
 
 
 def parse_state_label(dev: DeviceSpec, space: CompositeSpace, text: str) -> BareState:
@@ -321,57 +320,35 @@ def build_bare_hamiltonian(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray
     return np.diag(bare_energy_vector(dev, space))
 
 
-def _interaction(dev: DeviceSpec, space: CompositeSpace, counter_rotating: bool) -> np.ndarray:
-    """Real symmetric interaction assembled from index triples.
+def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
+    """Interaction Hamiltonian of photon-creation/atom-lowering pairs and their adjoints.
 
-    Every edge and coupled transition j <-> k (j below k) puts g a+|j><k|
-    on the states with the atom in k and room for one more photon; with
-    ``counter_rotating`` it also puts g a|j><k| on the states holding a
-    photon. Rows follow from the columns by the mixed-radix strides, and
-    the transpose adds the Hermitian conjugate. No two terms share an entry.
+    Each edge contributes a+ (g_ge|g><e| + g_ei|e><i| + g_gi|g><i|) plus the
+    adjoint, as a real symmetric float64 matrix assembled from index triples:
+    every coupled transition j <-> k (j below k) puts g sqrt(n+1) on the
+    states with the atom in k and room for one more photon, at the row one
+    photon up and k - j levels down by the mixed-radix strides, and the
+    transpose adds the adjoint. No two terms share an entry. With cyclic
+    three-level atoms this does not conserve the total excitation number:
+    the g-i term pairs one created photon with an atomic drop worth two
+    excitation quanta.
     """
     strides = space.strides
     occ = space.occupation_arrays()
     h = np.zeros((space.total_dim, space.total_dim))
     for edge in dev.edges:
         cav, atom = space.position(edge.cavity), space.position(edge.atom)
-        photons = occ[cav]
-        top = space.subsystems[cav].dimension - 1
-        photon_moves = [(strides[cav], photons < top, np.sqrt(photons + 1))]
-        if counter_rotating:
-            photon_moves.append((-strides[cav], photons > 0, np.sqrt(photons)))
+        room = occ[cav] < space.subsystems[cav].dimension - 1
+        factor = np.sqrt(occ[cav] + 1)
         for transition in TRANSITIONS[: 1 if space.subsystems[atom].dimension == 2 else 3]:
             g = dev.rate_to_angular(edge.g(transition))
             if g == 0.0:
                 continue
             lower, upper = (LEVEL_NAMES.index(name) for name in transition)
-            drop = (upper - lower) * strides[atom]
-            for shift, room, factor in photon_moves:
-                cols = np.flatnonzero((occ[atom] == upper) & room)
-                rows = cols + shift - drop
-                h[rows, cols] = h[cols, rows] = g * factor[cols]
+            cols = np.flatnonzero((occ[atom] == upper) & room)
+            rows = cols + strides[cav] - (upper - lower) * strides[atom]
+            h[rows, cols] = h[cols, rows] = g * factor[cols]
     return h
-
-
-def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
-    """Interaction Hamiltonian keeping only photon-creation/atom-lowering pairs.
-
-    Each edge contributes a+ (g_ge|g><e| + g_ei|e><i| + g_gi|g><i|) plus the
-    adjoint, as a real symmetric float64 matrix. With cyclic three-level
-    atoms this does not conserve the total excitation number: the g-i term
-    pairs one created photon with an atomic drop worth two excitation quanta.
-    """
-    return _interaction(dev, space, counter_rotating=False)
-
-
-def build_interaction_full(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
-    """Interaction Hamiltonian with counter-rotating terms retained.
-
-    Each edge contributes (a + a+) g_jk (|j><k| + |k><j|) summed over the
-    coupled transitions, as a real symmetric float64 matrix. Diagnostics
-    only; dynamics defaults to the rotating-wave form.
-    """
-    return _interaction(dev, space, counter_rotating=True)
 
 
 @dataclass(frozen=True)
@@ -385,14 +362,13 @@ class DispersiveRatio:
     flagged: bool
 
 
-def validate_dispersive(
-    dev: DeviceSpec, threshold: float = DISPERSIVE_THRESHOLD
-) -> list[DispersiveRatio]:
+def validate_dispersive(dev: DeviceSpec) -> list[DispersiveRatio]:
     """Report g/|detuning| for every edge and transition.
 
     The detuning of transition j-k against cavity s is
-    ``| |omega_j - omega_k| - omega_s |``. Entries with ratio above the
-    threshold are flagged; an exact resonance reports an infinite ratio.
+    ``| |omega_j - omega_k| - omega_s |``. Entries with ratio above
+    ``DISPERSIVE_THRESHOLD`` are flagged; an exact resonance reports an
+    infinite ratio.
     """
     report = []
     for edge in dev.edges:
@@ -413,7 +389,9 @@ def validate_dispersive(
             else:
                 ratio = g / delta
             report.append(
-                DispersiveRatio(edge.atom, edge.cavity, transition, ratio, ratio > threshold)
+                DispersiveRatio(
+                    edge.atom, edge.cavity, transition, ratio, ratio > DISPERSIVE_THRESHOLD
+                )
             )
     return report
 

@@ -42,13 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import sparse
 
-from .device import (
-    DeviceSpec,
-    build_bare_hamiltonian,
-    build_interaction_full,
-    build_interaction_rwa,
-    build_space,
-)
+from .device import DeviceSpec, build_bare_hamiltonian, build_interaction_rwa, build_space
 from .hilbert import BareState, CompositeSpace
 
 TRACE_TOL = 1e-6
@@ -106,16 +100,6 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def purity(self) -> float:
-        return float(np.linalg.norm(self.entries, "fro") ** 2)
-
-    def expectation(self, op: np.ndarray) -> float:
-        value = np.einsum("ij,ji->", op, self.entries)
-        return float(value.real)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2)[0])
 
 
 @dataclass(frozen=True)
@@ -521,6 +505,16 @@ def _embed_copy(local_w, bases, offsets, dim) -> sparse.csr_matrix:
 
 # -- engines ------------------------------------------------------------------
 
+# Heun's kick scales the fastest decay mode by 1 − x + x²/2 with x = h·R_max,
+# which reaches 1 at x = 2 and grows past it.
+KICK_STABILITY_BOUND = 2.0
+
+
+def _substeps(interval: float, h_target: float) -> int:
+    """Number of equal split steps, none longer than h_target, that cover an interval."""
+    return max(1, math.ceil(interval / h_target - 1e-12))
+
+
 def _propagator(energies: np.ndarray, basis: np.ndarray, t: float):
     """e^{−iHt} from H's real eigenbasis as two real products, with its adjoint."""
     u = np.empty(basis.shape, dtype=complex)
@@ -579,7 +573,7 @@ class _SplitStepper:
     def advance(self, flat: np.ndarray, interval: float, h_target: float) -> np.ndarray:
         if interval <= 0.0:
             return flat
-        n = max(1, math.ceil(interval / h_target - 1e-12))
+        n = _substeps(interval, h_target)
         h = interval / n
         if self.dissipator is None:
             self.steps += 1
@@ -603,20 +597,46 @@ def _min_eigenvalue(blocks) -> float:
     return min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
 
 
-def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step, checkpoints=()):
+class _Reducer:
+    """Per-sample reductions of ρ: observable columns, purity, trace drift and top-Fock weight."""
+
+    def __init__(self, dev: DeviceSpec, space: CompositeSpace, obs: ObservableSet, count: int):
+        self.obs = obs
+        self.columns = {name: np.empty(count) for name in obs.names}
+        self.purity = np.empty(count)
+        self.trace_worst = 0.0
+        occ = space.occupation_arrays()
+        self.top_masks = {
+            cav.label: occ[space.position(cav.label)] == cav.n_max for cav in dev.cavities
+        }
+        self.top_fock = {label: 0.0 for label in self.top_masks}
+
+    def __call__(self, k: int, rho: np.ndarray) -> None:
+        for name, v in zip(self.obs.names, self.obs.evaluate(rho)):
+            self.columns[name][k] = v
+        self.purity[k] = float(np.linalg.norm(rho, "fro") ** 2)
+        self.trace_worst = max(self.trace_worst, abs(float(np.trace(rho).real) - 1.0))
+        diag = np.real(np.diagonal(rho))
+        for label, mask in self.top_masks.items():
+            self.top_fock[label] = max(self.top_fock[label], float(diag[mask].sum()))
+
+
+def _integrate(
+    dev, space, channels, h_matrix, rho0, times, method, rtol, step, on_sample, checkpoints=()
+):
     """Core loop shared by the main run and the validation rerun.
 
-    Returns the sampled density matrices (d × d arrays, Hermitian; to
-    rounding when lifted from symmetry blocks),
-    the step count, the worst pre-symmetrization Hermiticity residual, the
-    smallest eigenvalue over the ``checkpoints`` sample indices (inf without
-    any) and the sizes of the symmetry blocks evolved (() on the full path).
+    Hands every sampled density matrix (a d × d array, Hermitian; to rounding
+    when lifted from symmetry blocks) to ``on_sample(k, rho)`` as soon as it
+    is taken, and keeps none. Returns the step count, the worst
+    pre-symmetrization Hermiticity residual, the smallest eigenvalue over
+    the ``checkpoints`` sample indices (inf without any) and the sizes of
+    the symmetry blocks evolved (() on the full path).
     """
     dim = space.total_dim
-    dissipator = _dissipator(build_collapse_channels(dev, space), dim)
+    dissipator = _dissipator(channels, dim)
     herm_worst = 0.0
     min_eig = math.inf
-    sampled = []
 
     if method == "rk45":
         from scipy.integrate import RK45
@@ -633,7 +653,7 @@ def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step, checkpoint
 
         solver = RK45(rhs, times[0], rho0.ravel(), times[-1], rtol=rtol, atol=1e-12)
         steps = 0
-        for t_target in times:
+        for k, t_target in enumerate(times):
             while solver.t < t_target:
                 message = solver.step()
                 steps += 1
@@ -642,10 +662,11 @@ def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step, checkpoint
             flat = solver.y if t_target == solver.t else solver.dense_output()(t_target)
             rho = flat.reshape(dim, dim)
             herm_worst = max(herm_worst, float(np.abs(rho - rho.conj().T).max()))
-            sampled.append((rho + rho.conj().T) / 2)
-        for k in checkpoints:
-            min_eig = min(min_eig, _min_eigenvalue([sampled[k]]))
-        return sampled, steps, herm_worst, min_eig, ()
+            rho = (rho + rho.conj().T) / 2
+            on_sample(k, rho)
+            if k in checkpoints:
+                min_eig = min(min_eig, _min_eigenvalue([rho]))
+        return steps, herm_worst, min_eig, ()
 
     sectors = _symmetry_sectors(dev, space, rho0)
     if sectors is None:
@@ -664,12 +685,13 @@ def _integrate(dev, space, h_matrix, rho0, times, method, rtol, step, checkpoint
                 herm_worst = max(herm_worst, float(np.abs(block - block.conj().T).max()))
                 block[...] = (block + block.conj().T) / 2
         if sectors is None:
-            sampled.append(flat.reshape(dim, dim).copy())
+            rho = flat.reshape(dim, dim)
         else:
-            sampled.append((sectors.lift @ flat).reshape(dim, dim))
+            rho = (sectors.lift @ flat).reshape(dim, dim)
+        on_sample(k, rho)
         if k in checkpoints:
             min_eig = min(min_eig, _min_eigenvalue(stepper.blocks(flat)))
-    return sampled, stepper.steps, herm_worst, min_eig, () if sectors is None else sizes
+    return stepper.steps, herm_worst, min_eig, () if sectors is None else sizes
 
 
 def evolve(
@@ -681,7 +703,6 @@ def evolve(
     method: str = "auto",
     rtol: float = DEFAULT_RTOL,
     step: float | None = None,
-    interaction: str = "rwa",
     validate: bool = False,
     keep_states: bool = False,
 ) -> TrajectoryResult:
@@ -692,7 +713,8 @@ def evolve(
     dev : DeviceSpec
     initial : BareState or DensityMatrix
     t_final : float
-        End time in ns (or 1/omega0 units); 0 yields a single sample.
+        End time in ns (or 1/omega0 units), nonnegative and finite; 0 yields
+        a single sample.
     samples : int
         Number of uniformly spaced sample points including both ends.
     obs : ObservableSet, optional
@@ -711,13 +733,16 @@ def evolve(
         the split engine ignores it.
     step : float, optional
         Target fixed step of the split engine; must be positive and finite.
-    interaction : {'rwa', 'full'}
-        Dynamics generator; the counter-rotating form is diagnostic only.
+        The step length h it yields must also keep h·R_max below 2, where
+        R_max is the largest diagonal entry of Σ_c O_c†O_c: past that,
+        the dissipator kick diverges, and the run is refused up front.
     validate : bool
         Rerun at half step (tenth tolerance for rk45) and record the
         worst observable deviation as ``validation_residual``.
     keep_states : bool
-        Retain every sampled DensityMatrix on the result.
+        Retain every sampled DensityMatrix on the result. Otherwise each
+        sample is reduced to its observables as it is taken, and only the
+        final state is kept.
 
     Returns
     -------
@@ -727,22 +752,32 @@ def evolve(
     trace violations) indicate the run needs a bigger truncation or a
     finer step; they never silently alter the requested evolution.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be nonnegative and finite, got {t_final!r}")
     if t_final > 0 and samples < 2:
         raise ValueError("need at least two samples for a finite time span")
     if step is None:
         step = DEFAULT_SPLIT_STEP_DIMENSIONLESS if dev.unit_omega0 else DEFAULT_SPLIT_STEP
     elif not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    space = build_space(dev)
-    if interaction == "rwa":
-        h_int = build_interaction_rwa(dev, space)
-    elif interaction == "full":
-        h_int = build_interaction_full(dev, space)
+    method = _resolve_method(method)
+    if t_final == 0.0:
+        times = np.zeros(1)
     else:
-        raise ValueError(f"unknown interaction form {interaction!r}")
-    h_matrix = build_bare_hamiltonian(dev, space) + h_int
+        dt = t_final / (samples - 1)
+        times = np.arange(samples) * dt
+    space = build_space(dev)
+    channels = build_collapse_channels(dev, space)
+    if method == "split" and channels and len(times) > 1:
+        rate = float(sum(ch.rate_diagonal(space.total_dim) for ch in channels).max())
+        h = max(iv / _substeps(iv, step) for iv in np.diff(times))
+        if h * rate >= KICK_STABILITY_BOUND:
+            raise ValueError(
+                f"split step {h:.6g} times the largest decay rate {rate:.6g} is "
+                f"{h * rate:.3g}, at or past the dissipator kick's stability bound "
+                f"{KICK_STABILITY_BOUND:g}; use a step below {KICK_STABILITY_BOUND / rate:.6g}"
+            )
+    h_matrix = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
 
     if isinstance(initial, DensityMatrix):
         if initial.space.total_dim != space.total_dim:
@@ -754,39 +789,23 @@ def evolve(
     if obs is None:
         obs = standard_observables(dev, space)
 
-    if t_final == 0.0:
-        times = np.zeros(1)
-    else:
-        dt = t_final / (samples - 1)
-        times = np.arange(samples) * dt
-    method = _resolve_method(method)
-
     # positivity at evenly spaced checkpoints
     n_check = min(len(times), MAX_POSITIVITY_CHECKPOINTS)
     check_idx = sorted(set(np.linspace(0, len(times) - 1, n_check).astype(int)))
-    sampled, steps, herm_worst, min_eig, sectors = _integrate(
-        dev, space, h_matrix, rho0, times, method, rtol, step, check_idx
+    reduced = _Reducer(dev, space, obs, len(times))
+    kept: list[np.ndarray] = []
+
+    def on_sample(k, rho):
+        reduced(k, rho)
+        if keep_states or k == len(times) - 1:
+            kept.append(rho)
+
+    steps, herm_worst, min_eig, sectors = _integrate(
+        dev, space, channels, h_matrix, rho0, times, method, rtol, step, on_sample, check_idx
     )
+    columns, top_fock, trace_worst = reduced.columns, reduced.top_fock, reduced.trace_worst
 
     warnings: list[str] = []
-    columns = {name: np.empty(len(times)) for name in obs.names}
-    purity = np.empty(len(times))
-    trace_worst = 0.0
-    occ = space.occupation_arrays()
-    top_masks = {
-        cav.label: occ[space.position(cav.label)] == (cav.n_max) for cav in dev.cavities
-    }
-    top_fock = {label: 0.0 for label in top_masks}
-    for k, rho in enumerate(sampled):
-        vals = obs.evaluate(rho)
-        for name, v in zip(obs.names, vals):
-            columns[name][k] = v
-        purity[k] = float(np.linalg.norm(rho, "fro") ** 2)
-        trace_worst = max(trace_worst, abs(float(np.trace(rho).real) - 1.0))
-        diag = np.real(np.diagonal(rho))
-        for label, mask in top_masks.items():
-            top_fock[label] = max(top_fock[label], float(diag[mask].sum()))
-
     for label, pop in top_fock.items():
         if pop > TRUNCATION_WARN:
             warnings.append(
@@ -811,25 +830,29 @@ def evolve(
     validation_residual = None
     if validate and t_final > 0.0:
         finer = (rtol, step / 2) if method == "split" else (rtol / 10, step)
-        again = _integrate(dev, space, h_matrix, rho0, times, method, *finer)[0]
-        validation_residual = 0.0
-        for k, rho in enumerate(again):
-            vals = obs.evaluate(rho)
-            for name, v in zip(obs.names, vals):
-                validation_residual = max(validation_residual, abs(v - columns[name][k]))
+        again = _Reducer(dev, space, obs, len(times))
+        _integrate(dev, space, channels, h_matrix, rho0, times, method, *finer, again)
+        validation_residual = max(
+            (float(np.abs(again.columns[n] - columns[n]).max()) for n in obs.names),
+            default=0.0,
+        )
 
     corr_names = [n for n in obs.names if n.startswith("corr_")]
     leak_names = [n for n in obs.names if n.startswith("p_i_")]
     photon_names = [n for n in obs.names if n.startswith("n_")]
     longest_corr = max(corr_names, key=lambda n: n.count("_"), default=None)
-    final_state = _wrap_state(space, sampled[-1], warnings)
+    try:
+        final_state = DensityMatrix(space, kept[-1])
+    except ValueError as exc:
+        warnings.append(f"final state invalid: {exc}")
+        final_state = None
 
     return TrajectoryResult(
         times=times,
         values=columns,
         method=method,
         steps=steps,
-        purity=purity,
+        purity=reduced.purity,
         trace_drift=trace_worst,
         hermiticity_residual=herm_worst,
         min_eigenvalue=min_eig,
@@ -846,18 +869,10 @@ def evolve(
             max(float(columns[n].max()) for n in photon_names) if photon_names else None
         ),
         states=(
-            tuple(DensityMatrix(space, r) for r in sampled) if keep_states else None
+            tuple(DensityMatrix(space, r) for r in kept) if keep_states else None
         ),
         sectors=sectors,
     )
-
-
-def _wrap_state(space, entries, warnings):
-    try:
-        return DensityMatrix(space, entries)
-    except ValueError as exc:
-        warnings.append(f"final state invalid: {exc}")
-        return None
 
 
 # -- derived quantities -------------------------------------------------------

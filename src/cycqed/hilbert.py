@@ -6,11 +6,11 @@ Basis indices use mixed-radix encoding with the first subsystem most
 significant, so the label ``|n, l1, l2, ...>`` maps to one contiguous row
 index and CSV state labels are reproducible.
 
-Hamiltonians are real: every coupling of the rotating-wave and the
-counter-rotating forms is a real number, so the device layer assembles H as
-a dense float64 matrix from index triples on these strides. Only density
-matrices and propagators are complex. :func:`embed` keeps the Kronecker
-product form as a reference for that assembly.
+Hamiltonians are real: every rotating-wave coupling is a real number, so
+the device layer assembles H as a dense float64 matrix from index triples on
+these strides. Only density matrices and propagators are complex.
+:func:`embed` keeps the Kronecker product form as a reference for that
+assembly.
 """
 
 from __future__ import annotations
@@ -20,36 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Atom level names in energy order; index in this tuple == level index.
+# Atom level names in energy order; index in this tuple == level index, which
+# is also the level's excitation charge (photons count 1 each).
 LEVEL_NAMES = ("g", "e", "i")
-
-# Excitation charge carried by each atom level (photons count 1 each).
-LEVEL_EXCITATION = {"g": 0, "e": 1, "i": 2}
-
-
-def level_index(level: int | str, dim: int) -> int:
-    """Resolve a level given as name ('g', 'e', 'i') or index to an index.
-
-    Parameters
-    ----------
-    level : int or str
-        Level name or 0-based index.
-    dim : int
-        Number of levels of the atom (2 or 3).
-
-    Returns
-    -------
-    int
-        Validated 0-based level index.
-    """
-    if isinstance(level, str):
-        if level not in LEVEL_NAMES[:dim]:
-            raise ValueError(f"unknown level {level!r} for a {dim}-level atom")
-        return LEVEL_NAMES.index(level)
-    idx = int(level)
-    if not 0 <= idx < dim:
-        raise ValueError(f"level index {idx} out of range for dimension {dim}")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -96,14 +69,6 @@ class CompositeSpace:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dimension for s in self.subsystems)
-
-    @property
-    def cavity_labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.subsystems if s.kind == "cavity")
-
-    @property
-    def atom_labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.subsystems if s.kind == "atom")
 
     @property
     def strides(self) -> tuple[int, ...]:
@@ -184,6 +149,17 @@ class BareState:
     energy: float
     index: int
 
+    @classmethod
+    def at(cls, space: CompositeSpace, index: int, energy: float) -> "BareState":
+        """The product state at a basis index, its occupations read as Fock numbers and levels."""
+        fock, levels = [], []
+        for occ, sub in zip(space.occupations_of(index), space.subsystems):
+            if sub.kind == "cavity":
+                fock.append(int(occ))
+            else:
+                levels.append(LEVEL_NAMES[occ])
+        return cls(tuple(fock), tuple(levels), float(energy), index)
+
     def label(self) -> str:
         return ",".join([str(n) for n in self.fock] + list(self.levels))
 
@@ -239,12 +215,13 @@ def ladder(kind: str, dim: int) -> np.ndarray:
     raise ValueError(f"unknown ladder kind {kind!r}")
 
 
-def transition_projector(j: int | str, k: int | str, dim: int) -> np.ndarray:
-    """Matrix |j><k| on a dim-level atom, with a single unit entry at (j, k)."""
-    jj = level_index(j, dim)
-    kk = level_index(k, dim)
+def transition_projector(j: str, k: str, dim: int) -> np.ndarray:
+    """Matrix |j><k| on a dim-level atom, with a single unit entry at levels (j, k)."""
+    names = LEVEL_NAMES[:dim]
+    if j not in names or k not in names:
+        raise ValueError(f"levels {j!r}, {k!r} are not both levels of a {dim}-level atom")
     op = np.zeros((dim, dim))
-    op[jj, kk] = 1.0
+    op[names.index(j), names.index(k)] = 1.0
     return op
 
 
@@ -283,12 +260,8 @@ def embed(local_op: np.ndarray, target: str, space: CompositeSpace) -> np.ndarra
 
 
 def total_excitation_operator(space: CompositeSpace) -> np.ndarray:
-    """Diagonal operator counting photons plus 1 per |e> and 2 per |i>."""
-    diag = np.zeros(space.total_dim)
-    for sub, occ in zip(space.subsystems, space.occupation_arrays()):
-        if sub.kind == "cavity":
-            diag = diag + occ
-        else:
-            charge = np.array([LEVEL_EXCITATION[LEVEL_NAMES[v]] for v in range(sub.dimension)])
-            diag = diag + charge[occ]
-    return np.diag(diag)
+    """Diagonal operator counting photons plus 1 per |e> and 2 per |i>.
+
+    A level's excitation charge is its index, so this is the sum of all occupations.
+    """
+    return np.diag(sum(space.occupation_arrays()).astype(float))

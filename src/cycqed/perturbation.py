@@ -39,6 +39,9 @@ FLOOR_FACTOR = 1e-3
 # largest coupling.
 MATCH_FACTOR = 10.0
 
+# Fixed-point steps of the shift-corrected frequency matching.
+MATCH_ITERATIONS = 40
+
 
 class PerturbationError(ValueError):
     """Degeneracy-floor violation or an ill-posed coupling query."""
@@ -104,25 +107,6 @@ class EffectiveCoupling:
         return math.pi / abs(self.lambda_eff)
 
 
-def _state_from_index(space: CompositeSpace, energies: np.ndarray, index: int) -> BareState:
-    occs = space.occupations_of(index)
-    fock, levels = [], []
-    for occ, sub in zip(occs, space.subsystems):
-        if sub.kind == "cavity":
-            fock.append(int(occ))
-        else:
-            levels.append(LEVEL_NAMES[occ])
-    return BareState(tuple(fock), tuple(levels), float(energies[index]), index)
-
-
-def _photon_counts(space: CompositeSpace) -> np.ndarray:
-    counts = np.zeros(space.total_dim, dtype=int)
-    for sub, occ in zip(space.subsystems, space.occupation_arrays()):
-        if sub.kind == "cavity":
-            counts += occ
-    return counts
-
-
 def enumerate_paths(
     space: CompositeSpace,
     energies: np.ndarray,
@@ -130,7 +114,6 @@ def enumerate_paths(
     initial: BareState,
     final: BareState,
     order: int,
-    floor: float | None = None,
     match_tol: float | None = None,
 ) -> PathSearchResult:
     """Enumerate all virtual paths of a given order between degenerate states.
@@ -143,12 +126,10 @@ def enumerate_paths(
     hi : numpy.ndarray
         Real interaction Hamiltonian on the same space.
     initial, final : BareState
-        Must be degenerate within 10 times the largest coupling element.
+        Two distinct states, degenerate within 10 times the largest
+        coupling element.
     order : int
         Number of interaction steps (even for the exchange processes here).
-    floor : float, optional
-        Degeneracy floor for intermediate energy defects; defaults to 1e-3
-        times the smallest nonzero interaction element.
     match_tol : float, optional
         Tolerance for the initial/final degeneracy check; defaults to 10
         times the largest interaction element. Callers that know the bare
@@ -167,15 +148,20 @@ def enumerate_paths(
     Intermediates may hold at most order/2 photons (no process of this
     length can create more), which keeps the search polynomial. A
     breadth-first distance map to the final state prunes dead branches.
+    An intermediate whose energy defect is below the degeneracy floor,
+    1e-3 times the smallest nonzero interaction element, is rejected.
     """
     if order < 2:
         raise PerturbationError("order must be at least 2")
+    if initial.index == final.index:
+        raise PerturbationError(
+            f"initial and final state are both {initial.label()}; a coupling needs two states"
+        )
     nonzero = np.abs(hi) > 0
-    if floor is None:
-        magnitudes = np.abs(hi[nonzero])
-        if magnitudes.size == 0:
-            return PathSearchResult((), ())
-        floor = FLOOR_FACTOR * float(magnitudes.min())
+    magnitudes = np.abs(hi[nonzero])
+    if magnitudes.size == 0:
+        return PathSearchResult((), ())
+    floor = FLOOR_FACTOR * float(magnitudes.min())
     if match_tol is None:
         match_tol = MATCH_FACTOR * float(np.max(np.abs(hi))) if nonzero.any() else 0.0
     e_ref = energies[initial.index]
@@ -186,7 +172,9 @@ def enumerate_paths(
         )
 
     neighbors = [np.flatnonzero(nonzero[:, col]) for col in range(space.total_dim)]
-    photons = _photon_counts(space)
+    photons = sum(
+        occ for sub, occ in zip(space.subsystems, space.occupation_arrays()) if sub.kind == "cavity"
+    )
     cap = order // 2
 
     # BFS distance to the final state for dead-branch pruning
@@ -207,7 +195,7 @@ def enumerate_paths(
     endpoint = {initial.index, final.index}
 
     def state_of(idx: int) -> BareState:
-        return _state_from_index(space, energies, idx)
+        return BareState.at(space, idx, energies[idx])
 
     def walk(node: int, steps_left: int, seq: list[int]) -> None:
         if steps_left == 1:
@@ -246,7 +234,6 @@ def effective_coupling(
     initial: BareState,
     final: BareState,
     order: int,
-    floor: float | None = None,
     strict: bool = True,
 ) -> EffectiveCoupling:
     """Sum the path contributions for one degenerate pair of a device.
@@ -257,8 +244,6 @@ def effective_coupling(
     initial, final : BareState
     order : int
         Interaction steps; 2 times the number of exchanged excitations.
-    floor : float, optional
-        Degeneracy floor override (angular frequency).
     strict : bool
         Raise when any path prefix was rejected at the floor (the sum would
         silently miss divergent contributions otherwise).
@@ -274,7 +259,7 @@ def effective_coupling(
         dev.rate_to_angular(edge.g(t)) for edge in dev.edges for t in ("ge", "gi", "ei")
     )
     found = enumerate_paths(
-        space, energies, hi, initial, final, order, floor=floor, match_tol=MATCH_FACTOR * g_max
+        space, energies, hi, initial, final, order, match_tol=MATCH_FACTOR * g_max
     )
     if strict and found.rejected:
         worst = min(found.rejected, key=lambda r: abs(r.denominator))
@@ -486,11 +471,12 @@ def second_order_shifts(dev: DeviceSpec) -> DispersiveShifts:
     return DispersiveShifts(eta, xi, tuple(flags))
 
 
-def matched_control_frequency(dev: DeviceSpec, iterations: int = 40) -> float:
+def matched_control_frequency(dev: DeviceSpec) -> float:
     """Control-atom frequency that degenerates the two exchange states.
 
     Solves omega_e(control) + eta_e(control) = sum over spectators of
-    (omega_e + eta_e) by fixed-point iteration, with atom 0 as the control.
+    (omega_e + eta_e) by fixed-point iteration (at most ``MATCH_ITERATIONS``
+    steps), with atom 0 as the control.
     The result is in config units (GHz, or omega0 multiples) and lands
     within higher-order corrections of the exact crossing located by
     spectral refinement.
@@ -499,7 +485,7 @@ def matched_control_frequency(dev: DeviceSpec, iterations: int = 40) -> float:
         raise ValueError("needs a control atom plus at least one spectator")
     control = dev.atoms[0].label
     guess = dev.atoms[0].omega_e
-    for _ in range(iterations):
+    for _ in range(MATCH_ITERATIONS):
         trial = with_parameter(dev, f"atoms.{control}.omega_e", guess)
         shifts = second_order_shifts(trial)
         target = sum(

@@ -52,6 +52,9 @@ SCENARIO_NAMES = (
 
 METRIC_SOURCES = ("published", "regression")
 
+# Half width of the crossing bracket around the matched control frequency.
+CROSSING_HALFWIDTH = 0.01
+
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -367,15 +370,13 @@ def load_scenario_file(path) -> Scenario:
 
 # -- running ------------------------------------------------------------------
 
-def locate_crossing(
-    dev: DeviceSpec, initial: str, final: str, halfwidth: float = 0.01
-) -> CrossingReport:
+def locate_crossing(dev: DeviceSpec, initial: str, final: str) -> CrossingReport:
     """Find the exact avoided crossing between two dressed exchange states.
 
     Starts from the shift-corrected matching frequency of the first atom,
     identifies the dressed pair by eigenvector overlap with the two bare
-    states there, then refines the gap minimum over a ``halfwidth`` wide
-    bracket (config units) around that frequency.
+    states there, then refines the gap minimum over a bracket of
+    ``CROSSING_HALFWIDTH`` (config units) on either side of that frequency.
     """
     control = dev.atoms[0].label
     parameter = f"atoms.{control}.omega_e"
@@ -389,7 +390,7 @@ def locate_crossing(
     weight = np.abs(vectors[bare_i.index, :]) ** 2 + np.abs(vectors[bare_f.index, :]) ** 2
     pair = tuple(sorted(int(k) for k in np.argsort(weight)[-2:]))
     return find_resonance(
-        dev, parameter, (matched - halfwidth, matched + halfwidth), pair
+        dev, parameter, (matched - CROSSING_HALFWIDTH, matched + CROSSING_HALFWIDTH), pair
     )
 
 

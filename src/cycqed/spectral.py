@@ -25,6 +25,9 @@ ORTHONORMALITY_TOL = 1e-9
 # Relative location tolerance of the golden-section refinement.
 CROSSING_XTOL = 1e-6
 
+# Points of the coarse gap scan that brackets the minimum before refinement.
+COARSE_POINTS = 17
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -40,17 +43,12 @@ class SpectrumResult:
         Shape (len(values), total_dim), ascending along axis 1.
     levels : tuple of int
         Selected 0-based level indices (for CSV output and track plots).
-    vectors : numpy.ndarray or None
-        Eigenvectors of the selected levels only, shape
-        (len(values), total_dim, len(levels)); sign-fixed so the
-        largest-magnitude component of each vector is positive.
     """
 
     parameter: str
     values: np.ndarray
     energies: np.ndarray
     levels: tuple[int, ...]
-    vectors: np.ndarray | None = None
 
     def selected_energies(self) -> np.ndarray:
         """Energies of the selected levels, shape (len(values), len(levels))."""
@@ -133,7 +131,6 @@ def sweep_spectrum(
     parameter: str,
     values,
     levels: tuple[int, ...] = (),
-    want_vectors: bool = False,
 ) -> SpectrumResult:
     """Diagonalize the device Hamiltonian at every value of one parameter.
 
@@ -145,9 +142,7 @@ def sweep_spectrum(
     values : sequence of float
         Sweep points, kept in input order.
     levels : tuple of int
-        0-based sorted level indices to tag (and to keep vectors for).
-    want_vectors : bool
-        Store sign-fixed eigenvectors of the selected levels.
+        0-based sorted level indices to tag.
 
     Returns
     -------
@@ -159,22 +154,19 @@ def sweep_spectrum(
     dim = build_space(dev).total_dim
     _check_levels(levels, dim)
     energies = np.empty((values.size, dim))
-    vectors = np.empty((values.size, dim, len(levels))) if want_vectors else None
     for k, value in enumerate(values):
         point = with_parameter(dev, parameter, float(value))
         space, h = _hamiltonian(point)
         if space.total_dim != dim:
             raise ValueError("sweep parameter changes the space dimension")
-        evals, evecs = diagonalize(h, want_vectors=want_vectors)
+        evals, _ = diagonalize(h, want_vectors=False)
         # eigh eigenvalue sum must reproduce the trace
         trace = float(np.trace(h))
         scale = max(abs(trace), float(np.sum(np.abs(evals))), 1e-300)
         if abs(evals.sum() - trace) > 1e-10 * scale:
             raise RuntimeError("eigenvalue sum drifted from the trace")
         energies[k] = evals
-        if want_vectors:
-            vectors[k] = evecs[:, list(levels)]
-    return SpectrumResult(parameter, values, energies, tuple(levels), vectors)
+    return SpectrumResult(parameter, values, energies, tuple(levels))
 
 
 def _check_levels(levels, dim: int) -> None:
@@ -194,12 +186,12 @@ def find_resonance(
     parameter: str,
     bracket: tuple[float, float],
     levels: tuple[int, int],
-    coarse_points: int = 17,
 ) -> CrossingReport:
     """Locate the minimum gap between two sorted levels inside a bracket.
 
-    A coarse scan establishes an interior minimum, which a golden-section
-    search refines to relative location tolerance 1e-6.
+    A coarse scan of ``COARSE_POINTS`` points establishes an interior
+    minimum, which a golden-section search refines to relative location
+    tolerance 1e-6.
 
     Parameters
     ----------
@@ -229,10 +221,10 @@ def find_resonance(
         evals, _ = diagonalize(h, want_vectors=False)
         return float(evals[l2] - evals[l1])
 
-    grid = np.linspace(lo, hi, coarse_points)
+    grid = np.linspace(lo, hi, COARSE_POINTS)
     gaps = np.array([gap_at(x) for x in grid])
     k = int(np.argmin(gaps))
-    if k == 0 or k == coarse_points - 1:
+    if k == 0 or k == COARSE_POINTS - 1:
         raise ValueError("no interior gap minimum in the bracket")
     from scipy.optimize import golden
 

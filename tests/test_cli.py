@@ -281,6 +281,16 @@ class TestCoupling:
         assert out == ""
         assert err == "error: n-max must be at least 2\n"
 
+    def test_identical_states_is_usage_error(self, device_files, capsys):
+        code, out, err = run_cli(
+            ["coupling", "--device", device_files["three"],
+             "--initial", "0,e,g,g", "--final", "0,e,g,g", "--order", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --initial and --final are the same state 0,e,g,g\n"
+
     def test_bad_state_label_is_usage_error(self, device_files, capsys):
         code, _, err = run_cli(
             ["coupling", "--device", device_files["three"],
@@ -404,8 +414,48 @@ class TestDynamics:
              "--initial", "0,e,g,g", "--t-final", "-5", "--outdir", tmp_path],
             capsys,
         )
+        assert code == 2
+        assert err.startswith("error: --t-final") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("t_final", ["nan", "inf"])
+    def test_non_finite_duration_is_usage_error(self, device_files, tmp_path, capsys, t_final):
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"],
+             "--initial", "0,e,g,g", "--t-final", t_final, "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --t-final must be nonnegative and finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "dynamics.csv").exists()
+
+    def test_single_sample_is_usage_error(self, device_files, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"],
+             "--initial", "0,e,g,g", "--t-final", "40", "--samples", "1",
+             "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --samples") and err.count("\n") == 1
+        assert not (tmp_path / "dynamics.csv").exists()
+
+    def test_unstable_step_is_computation_error(self, device_files, tmp_path, capsys):
+        # kappa/2pi = 1e9 MHz puts the default step far past the Heun bound
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"],
+             "--set", "cavities.c.kappa=1e9",
+             "--initial", "0,e,g,g", "--t-final", "1", "--samples", "3",
+             "--outdir", tmp_path],
+            capsys,
+        )
         assert code == 1
-        assert "evolution failed" in err
+        assert out == ""
+        assert err.startswith("error: evolution failed: split step")
+        assert "use a step below" in err and err.count("\n") == 1
+        assert not (tmp_path / "dynamics.csv").exists()
 
 
 class TestCheck:

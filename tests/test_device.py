@@ -19,7 +19,6 @@ from cycqed.device import (
     DeviceSpec,
     bare_state,
     build_bare_hamiltonian,
-    build_interaction_full,
     build_interaction_rwa,
     build_space,
     get_parameter,
@@ -155,21 +154,6 @@ class TestInteractionHamiltonian:
                 dev = with_parameter(dev, f"edges.{path}.c.{g}", 0.0)
         sp = build_space(dev)
         assert np.count_nonzero(build_interaction_rwa(dev, sp)) == 0
-        assert np.count_nonzero(build_interaction_full(dev, sp)) == 0
-
-    def test_full_adds_counter_rotating_terms(self):
-        dev = make_three_atom_device()
-        sp = build_space(dev)
-        rwa = build_interaction_rwa(dev, sp)
-        full = build_interaction_full(dev, sp)
-        vacuum = bare_state(dev, sp, (0,), ("g", "g", "g"))
-        raised = bare_state(dev, sp, (1,), ("e", "g", "g"))
-        assert rwa[raised.index, vacuum.index] == 0
-        assert full[raised.index, vacuum.index].real == pytest.approx(TWO_PI * 0.150)
-        # counter-rotating part lives only where the RWA matrix vanishes
-        diff = full - rwa
-        assert not np.any((np.abs(diff) > 1e-12) & (np.abs(rwa) > 1e-12))
-        assert np.max(np.abs(full - full.conj().T)) == 0
 
     def test_excitation_conservation_two_level_limit(self):
         dev = DeviceSpec(
@@ -190,11 +174,10 @@ class TestInteractionHamiltonian:
         assert np.max(np.abs(h @ nt - nt @ h)) > 1.0
 
 
-def kron_interaction(dev, space, counter_rotating):
-    """Reference interaction from Kronecker-embedded dense factors.
+def kron_interaction(dev, space):
+    """Reference rotating-wave interaction from Kronecker-embedded dense factors.
 
-    Each edge adds P (sum_jk g_jk |j><k|) plus its transpose, with P = a+
-    in the rotating-wave form and P = a + a+ with counter-rotating terms.
+    Each edge adds a+ (sum_jk g_jk |j><k|) plus its transpose.
     """
     d = space.total_dim
     total = np.zeros((d, d))
@@ -206,8 +189,6 @@ def kron_interaction(dev, space, counter_rotating):
             for t in TRANSITIONS[: 1 if dim == 2 else 3]
         )
         photon = ladder("create", cav_dim)
-        if counter_rotating:
-            photon = photon + ladder("annihilate", cav_dim)
         term = embed(photon, edge.cavity, space) @ embed(lower, edge.atom, space)
         total += term + term.T
     return total
@@ -248,14 +229,12 @@ class TestIndexFormAgainstKron:
     @given(random_devices())
     def test_matches_kron_reference(self, dev):
         sp = build_space(dev)
-        forms = ((build_interaction_rwa, False), (build_interaction_full, True))
-        for build, counter_rotating in forms:
-            h = build(dev, sp)
-            assert h.dtype == np.float64
-            np.testing.assert_array_equal(h, h.T)
-            ref = kron_interaction(dev, sp, counter_rotating)
-            scale = max(float(np.abs(ref).max()), 1e-300)
-            assert float(np.abs(h - ref).max()) <= 1e-14 * scale
+        h = build_interaction_rwa(dev, sp)
+        assert h.dtype == np.float64
+        np.testing.assert_array_equal(h, h.T)
+        ref = kron_interaction(dev, sp)
+        scale = max(float(np.abs(ref).max()), 1e-300)
+        assert float(np.abs(h - ref).max()) <= 1e-14 * scale
         h0 = build_bare_hamiltonian(dev, sp)
         assert h0.dtype == np.float64
 

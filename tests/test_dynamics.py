@@ -9,6 +9,7 @@ must reproduce the adaptive integration on devices small enough for both.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -135,8 +136,8 @@ class TestDensityMatrix:
         space = build_space(jc_device())
         rho = DensityMatrix.pure(space, 1)
         assert rho.trace() == pytest.approx(1.0)
-        assert rho.purity() == pytest.approx(1.0)
-        assert rho.min_eigenvalue() == pytest.approx(0.0, abs=1e-15)
+        assert np.linalg.norm(rho.entries, "fro") ** 2 == pytest.approx(1.0)
+        assert np.linalg.eigvalsh(rho.entries)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_pure_index_out_of_range(self):
         space = build_space(jc_device())
@@ -167,7 +168,7 @@ class TestDensityMatrix:
         space = build_space(dev)
         rho = DensityMatrix.pure(space, bare_state(dev, space, (2,), ("g",)).index)
         number = np.diag(space.occupation_arrays()[0].astype(float))
-        assert rho.expectation(number) == pytest.approx(2.0)
+        assert np.trace(number @ rho.entries).real == pytest.approx(2.0)
 
 
 class TestObservables:
@@ -670,21 +671,6 @@ class TestVacuumRabi:
         traj = evolve(dev, DensityMatrix(space, rho), 10.0, samples=101, method="split")
         assert np.abs(traj.column("p_e_q") - 0.5).max() < 1e-9
 
-    def test_counter_rotating_terms_break_excitation_number(self):
-        dev = jc_device()
-        space = build_space(dev)
-        excited = bare_state(dev, space, (0,), ("e",))
-        n_t = total_excitation_operator(space)
-        obs = ObservableSet((Observable("n_t", matrix=n_t.astype(complex)),))
-        rwa = evolve(dev, excited, 3.0, samples=61, obs=obs, method="rk45")
-        full = evolve(
-            dev, excited, 3.0, samples=61, obs=obs, method="rk45", interaction="full"
-        )
-        drift_rwa = np.abs(rwa.column("n_t") - 1.0).max()
-        drift_full = np.abs(full.column("n_t") - 1.0).max()
-        assert drift_rwa < 1e-9
-        assert 1e-6 < drift_full < 1e-2
-
 
 class TestDecayLaws:
     def test_cavity_decay(self):
@@ -823,6 +809,51 @@ class TestEvolvePlumbing:
         with pytest.raises(ValueError, match="nonnegative"):
             evolve(dev, bare_state(dev, space, (0,), ("e",)), -1.0)
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_non_finite_time_rejected_before_any_work(self, t_final, monkeypatch):
+        dev = jc_device()
+        initial = bare_state(dev, build_space(dev), (0,), ("e",))
+
+        def no_work(*args):
+            raise AssertionError("evolve did work before checking t_final")
+
+        monkeypatch.setattr(dynamics, "build_space", no_work)
+        with pytest.raises(ValueError, match="t_final must be nonnegative and finite"):
+            evolve(dev, initial, t_final)
+
+    def test_unstable_split_step_rejected_before_any_work(self, monkeypatch):
+        # R_max = 3 kappa on the top Fock level; samples every 1.0
+        dev = decay_cavity_device(kappa=1.0)
+        initial = bare_state(dev, build_space(dev), (3,), ("g",))
+
+        def no_work(*args):
+            raise AssertionError("evolve assembled H before checking the step")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dynamics, "build_bare_hamiltonian", no_work)
+            with pytest.raises(ValueError, match=r"stability bound 2; use a step below 0\.666"):
+                evolve(dev, initial, 10.0, samples=11, method="split", step=1.0)
+        # step 0.8 splits each interval in two: h = 0.5, h R_max = 1.5
+        traj = evolve(dev, initial, 10.0, samples=11, method="split", step=0.8)
+        n_c = traj.column("n_c")
+        assert np.all(np.isfinite(n_c)) and n_c.max() <= 3.0 and n_c[-1] < n_c[0]
+        # rk45 has no kick, so the bound does not apply to it
+        assert evolve(dev, initial, 0.5, samples=2, method="rk45", step=1.0).method == "rk45"
+
+    def test_samples_are_not_kept(self):
+        # 301 samples at d = 162 would hold 301 * 162**2 * 16 B = 126 MB
+        dev = make_three_atom_device()
+        space = build_space(dev)
+        initial = bare_state(dev, space, (0,), ("e", "g", "g"))
+        tracemalloc.start()
+        try:
+            traj = evolve(dev, initial, 30.0, samples=301)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states is None and traj.final_state is not None
+        assert peak < 30e6
+
     def test_too_few_samples_rejected(self):
         dev = jc_device()
         space = build_space(dev)
@@ -846,12 +877,6 @@ class TestEvolvePlumbing:
         space = build_space(dev)
         with pytest.raises(ValueError, match="method"):
             evolve(dev, bare_state(dev, space, (0,), ("e",)), 1.0, method="euler")
-
-    def test_unknown_interaction_rejected(self):
-        dev = jc_device()
-        space = build_space(dev)
-        with pytest.raises(ValueError, match="interaction"):
-            evolve(dev, bare_state(dev, space, (0,), ("e",)), 1.0, interaction="lab")
 
     def test_initial_state_space_mismatch(self):
         small = jc_device(n_max=3)

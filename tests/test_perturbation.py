@@ -142,6 +142,17 @@ class TestPathEnumeration:
         assert all(r.offender.label() == "0,g,g,i" for r in found.rejected)
         assert all(abs(r.denominator) < 1e-6 for r in found.rejected)
 
+    def test_identical_endpoints_rejected(self):
+        dev = make_three_atom_device()
+        i, _ = exchange_states(dev)
+        space = build_space(dev)
+        energies = bare_energy_vector(dev, space)
+        hi = build_interaction_rwa(dev, space)
+        with pytest.raises(PerturbationError, match="both 0,e,g,g"):
+            enumerate_paths(space, energies, hi, i, i, order=4)
+        with pytest.raises(PerturbationError, match="both 0,e,g,g"):
+            effective_coupling(dev, i, i, order=4)
+
     def test_order_below_two_rejected(self):
         dev = make_three_atom_device()
         i, f = exchange_states(dev)

@@ -1,0 +1,40 @@
+"""The package namespace matches the README's list of public names.
+
+The list sits under "### Public names" in the README's "Python API"
+section. Every name the benchmark reaches as ``cycqed.X`` must be on it.
+"""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import cycqed
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_names() -> set[str]:
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n### Public names\n", 1)[1].split("\n#", 1)[0]
+    # bullets wrap onto indented continuation lines
+    bullets = re.findall(r"^- .*(?:\n  .*)*", section, flags=re.MULTILINE)
+    return {name for bullet in bullets for name in re.findall(r"`(\w+)`", bullet)}
+
+
+def test_all_matches_readme():
+    assert len(cycqed.__all__) == len(set(cycqed.__all__))
+    assert set(cycqed.__all__) == readme_names()
+
+
+def test_every_public_name_resolves():
+    for name in cycqed.__all__:
+        assert getattr(cycqed, name) is not None
+
+
+def test_benchmark_names_are_public():
+    used = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        used |= set(re.findall(r"\bcycqed\.(\w+)", path.read_text()))
+    # submodules (cycqed.device, cycqed.hilbert, ...) are not namespace names
+    used = {name for name in used if importlib.util.find_spec(f"cycqed.{name}") is None}
+    assert used and used <= set(cycqed.__all__)

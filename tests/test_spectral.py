@@ -124,13 +124,6 @@ class TestSweep:
         with pytest.raises(ValueError, match="out of range"):
             sweep_spectrum(dev, "atoms.1.omega_e", [1.0], levels=(500,))
 
-    def test_vectors_returned_when_requested(self):
-        dev = make_crossing_sweep_device()
-        res = sweep_spectrum(dev, "atoms.1.omega_e", [1.02, 1.08], levels=(6, 7), want_vectors=True)
-        assert res.vectors.shape == (2, 162, 2)
-        norms = np.linalg.norm(res.vectors, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-9)
-
 
 class TestFindResonance:
     def test_crossing_location_and_gap(self):
