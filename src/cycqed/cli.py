@@ -222,6 +222,10 @@ def cmd_coupling(args) -> int:
         coupling = effective_coupling(dev, initial, final, args.order)
     except PerturbationError as exc:
         raise ComputationError(str(exc)) from exc
+    if not coupling.paths:
+        raise ComputationError(
+            f"no order-{args.order} path couples {initial.label()} and {final.label()}"
+        )
     rate_unit, time_unit = _state_units(dev)
     chi = dev.angular_to_rate(abs(coupling.lambda_eff))
     print(
@@ -232,8 +236,9 @@ def cmd_coupling(args) -> int:
         chain = " -> ".join(state.label() for state in path.states)
         weight = dev.angular_to_rate(path.contribution)
         print(f"  path {k}: {chain}  [{weight:.6g} {rate_unit}]")
-    kinds = [k for k in CHI_KINDS if k.startswith("chi3" if args.order == 4 else "chi4")]
-    for kind in kinds:
+    # chi3 closed forms are fourth-order results, chi4 sixth-order ones
+    prefix = {4: "chi3", 6: "chi4"}.get(args.order)
+    for kind in (k for k in CHI_KINDS if prefix and k.startswith(prefix)):
         try:
             closed = closed_form_chi(dev, kind)
         except ValueError:
@@ -315,7 +320,7 @@ def cmd_check(args) -> int:
         try:
             scenarios.append(load_scenario_file(path))
         except (OSError, ConfigError) as exc:
-            raise ComputationError(f"cannot load scenario {path}: {exc}") from exc
+            raise UsageError(f"cannot load scenario {path}: {exc}") from exc
     workers = max(1, args.threads)
     try:
         if workers == 1:

@@ -5,6 +5,15 @@ single trailing newline, floats carrying a decimal point. Files written by
 :func:`canonical_text` round-trip through the parser bit-identically, and
 every file shipped with the package is in canonical form.
 
+One schema: the spec dataclasses (``DeviceSpec`` and its atoms, cavities
+and edges; ``Scenario`` with its plan and metrics) are the file format.
+:func:`from_obj` reads any of them from parsed JSON and :func:`to_obj`
+writes it back, both driven by the fields, their resolved annotations and
+their defaults. A JSON key is the field name unless the field's metadata
+gives a ``key``; a class with a ``KIND`` is written and selected by a
+``"kind"`` key; a class with ``OMIT_DEFAULTS`` set leaves out the fields
+at their defaults. No other code restates a key or a default.
+
 Device schema (all frequencies GHz, couplings and rates MHz, unless the
 device sets ``unit_omega0`` true, in which case every number is a multiple
 of the reference frequency omega0)::
@@ -23,11 +32,15 @@ a run plan, and expected metrics; see the scenarios module.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import types
+import typing
 from pathlib import Path
 
-from .device import AtomSpec, CavitySpec, CouplingEdge, DeviceSpec
+from .device import DeviceSpec
 
 
 class ConfigError(ValueError):
@@ -52,138 +65,115 @@ def read_json(path: str | Path):
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-def _require_mapping(obj, where: str) -> dict:
+# Cached per class: typing.get_type_hints is far slower than the parse itself.
+@functools.cache
+def _schema(cls) -> tuple:
+    """(field, JSON key, resolved annotation) of every field of a spec class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f, f.metadata.get("key", f.name), hints[f.name]) for f in dataclasses.fields(cls)
+    )
+
+
+def _options(tp) -> tuple:
+    """The members of a union annotation, or the annotation alone."""
+    return typing.get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+
+
+def from_obj(cls, obj, where: str):
+    """Build a spec dataclass, or one of a union of them, from parsed JSON.
+
+    ``where`` names the object in every diagnostic. A union is resolved by
+    the ``"kind"`` key against each member's ``KIND``.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a key/value mapping")
-    return obj
-
-
-_REQUIRED = object()
-
-
-def _take(obj: dict, key: str, where: str, default=_REQUIRED):
-    if key in obj:
-        return obj.pop(key)
-    if default is _REQUIRED:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return default
-
-
-def _no_extras(obj: dict, where: str) -> None:
-    if obj:
-        raise ConfigError(f"{where}: unknown keys {sorted(obj)}")
-
-
-def _number(value, where: str, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: {key} must be a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
-    return float(value)
-
-
-def parse_device(obj, where: str = "device") -> DeviceSpec:
-    """Build a DeviceSpec from parsed JSON, validating shape and keys."""
-    data = dict(_require_mapping(obj, where))
-    atoms = []
-    for k, entry in enumerate(_take(data, "atoms", where, [])):
-        sub = dict(_require_mapping(entry, f"{where}.atoms[{k}]"))
-        w = f"{where}.atoms[{k}]"
-        label = str(_take(sub, "label", w))
-        omega_i = _take(sub, "omega_i", w, None)
-        atoms.append(
-            AtomSpec(
-                label=label,
-                omega_e=_number(_take(sub, "omega_e", w), w, "omega_e"),
-                omega_i=None if omega_i is None else _number(omega_i, w, "omega_i"),
-                gamma_ge=_number(_take(sub, "gamma_ge", w, 0.0), w, "gamma_ge"),
-                gamma_gi=_number(_take(sub, "gamma_gi", w, 0.0), w, "gamma_gi"),
-                gamma_ei=_number(_take(sub, "gamma_ei", w, 0.0), w, "gamma_ei"),
-            )
-        )
-        _no_extras(sub, w)
-    cavities = []
-    for k, entry in enumerate(_take(data, "cavities", where, [])):
-        sub = dict(_require_mapping(entry, f"{where}.cavities[{k}]"))
-        w = f"{where}.cavities[{k}]"
-        n_max = _take(sub, "n_max", w, 5)
-        if isinstance(n_max, bool) or not isinstance(n_max, int):
-            raise ConfigError(f"{w}: n_max must be an integer")
-        cavities.append(
-            CavitySpec(
-                label=str(_take(sub, "label", w)),
-                omega_c=_number(_take(sub, "omega_c", w), w, "omega_c"),
-                kappa=_number(_take(sub, "kappa", w, 0.0), w, "kappa"),
-                n_max=n_max,
-            )
-        )
-        _no_extras(sub, w)
-    edges = []
-    for k, entry in enumerate(_take(data, "edges", where, [])):
-        sub = dict(_require_mapping(entry, f"{where}.edges[{k}]"))
-        w = f"{where}.edges[{k}]"
-        edges.append(
-            CouplingEdge(
-                atom=str(_take(sub, "atom", w)),
-                cavity=str(_take(sub, "cavity", w)),
-                g_ge=_number(_take(sub, "g_ge", w, 0.0), w, "g_ge"),
-                g_gi=_number(_take(sub, "g_gi", w, 0.0), w, "g_gi"),
-                g_ei=_number(_take(sub, "g_ei", w, 0.0), w, "g_ei"),
-            )
-        )
-        _no_extras(sub, w)
-    unit_omega0 = _take(data, "unit_omega0", where, False)
-    if not isinstance(unit_omega0, bool):
-        raise ConfigError(f"{where}: unit_omega0 must be true or false")
-    _no_extras(data, where)
+    data = dict(obj)
+    kinds = {c.KIND: c for c in _options(cls) if hasattr(c, "KIND")}
+    if kinds:
+        if "kind" not in data:
+            raise ConfigError(f"{where}: missing required key 'kind'")
+        kind = str(data.pop("kind"))
+        if kind not in kinds:
+            raise ConfigError(f"{where}: unknown kind {kind!r}; known: {', '.join(kinds)}")
+        cls = kinds[kind]
+    kwargs = {}
+    for f, key, tp in _schema(cls):
+        if key in data:
+            kwargs[f.name] = _value(tp, data.pop(key), where, key)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    if data:
+        raise ConfigError(f"{where}: unknown keys {sorted(data)}")
     try:
-        return DeviceSpec(tuple(cavities), tuple(atoms), tuple(edges), unit_omega0)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def device_to_obj(dev: DeviceSpec) -> dict:
-    """Canonical JSON object for a device (every field written explicitly)."""
-    return {
-        "atoms": [
-            {
-                "label": a.label,
-                "omega_e": float(a.omega_e),
-                "omega_i": None if a.omega_i is None else float(a.omega_i),
-                "gamma_ge": float(a.gamma_ge),
-                "gamma_gi": float(a.gamma_gi),
-                "gamma_ei": float(a.gamma_ei),
-            }
-            for a in dev.atoms
-        ],
-        "cavities": [
-            {
-                "label": c.label,
-                "omega_c": float(c.omega_c),
-                "kappa": float(c.kappa),
-                "n_max": int(c.n_max),
-            }
-            for c in dev.cavities
-        ],
-        "edges": [
-            {
-                "atom": e.atom,
-                "cavity": e.cavity,
-                "g_ge": float(e.g_ge),
-                "g_gi": float(e.g_gi),
-                "g_ei": float(e.g_ei),
-            }
-            for e in dev.edges
-        ],
-        "unit_omega0": dev.unit_omega0,
-    }
+def _value(tp, value, where: str, key: str):
+    """Check one JSON value against its field's annotation and convert it."""
+    options = _options(tp)
+    if value is None and type(None) in options:
+        return None
+    first = options[0]
+    if first is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}: {key} must be a number")
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
+        return float(value)
+    if first is int or first is bool:
+        if type(value) is not first:
+            wanted = "an integer" if first is int else "true or false"
+            raise ConfigError(f"{where}: {key} must be {wanted}")
+        return value
+    if first is str:
+        return str(value)
+    if dataclasses.is_dataclass(first):
+        return from_obj(tp, value, f"{where}.{key}")
+    # the two tuple fields: the levels pair and lists of nested specs
+    items = typing.get_args(first)
+    if items == (int, int):
+        if not (isinstance(value, list) and len(value) == 2
+                and all(type(v) is int for v in value)):
+            raise ConfigError(f"{where}: {key} must be a pair of integers")
+        return tuple(value)
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: {key} must be a list")
+    return tuple(
+        from_obj(items[0], entry, f"{where}.{key}[{k}]") for k, entry in enumerate(value)
+    )
+
+
+def to_obj(item) -> dict:
+    """Canonical JSON object of a spec dataclass; the inverse of from_obj."""
+    cls = type(item)
+    out = {"kind": cls.KIND} if hasattr(cls, "KIND") else {}
+    sparse = getattr(cls, "OMIT_DEFAULTS", False)
+    for f, key, tp in _schema(cls):
+        value = getattr(item, f.name)
+        if not (sparse and value == f.default):
+            out[key] = _plain(tp, value)
+    return out
+
+
+def _plain(tp, value):
+    if value is None or isinstance(value, (str, bool)):
+        return value
+    if dataclasses.is_dataclass(value):
+        return to_obj(value)
+    if isinstance(value, tuple):
+        item = typing.get_args(tp)[0]
+        return [_plain(item, v) for v in value]
+    return float(value) if float in _options(tp) else int(value)
 
 
 def load_device(path: str | Path) -> DeviceSpec:
     """Read and validate a device file."""
-    return parse_device(read_json(path), where=str(path))
+    return from_obj(DeviceSpec, read_json(path), str(path))
 
 
 def save_device(dev: DeviceSpec, path: str | Path) -> None:
     """Write a device file in canonical form."""
-    Path(path).write_text(canonical_text(device_to_obj(dev)))
+    Path(path).write_text(canonical_text(to_obj(dev)))

@@ -15,7 +15,7 @@ plain two-level systems when ``omega_i`` is omitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -145,9 +145,9 @@ class DeviceSpec:
     coupling graph is connected.
     """
 
-    cavities: tuple[CavitySpec, ...]
-    atoms: tuple[AtomSpec, ...]
-    edges: tuple[CouplingEdge, ...]
+    cavities: tuple[CavitySpec, ...] = ()
+    atoms: tuple[AtomSpec, ...] = ()
+    edges: tuple[CouplingEdge, ...] = ()
     unit_omega0: bool = False
 
     def __post_init__(self) -> None:
@@ -398,42 +398,33 @@ def validate_dispersive(dev: DeviceSpec) -> list[DispersiveRatio]:
 
 # -- dotted parameter paths -------------------------------------------------
 
-_ATOM_FIELDS = ("omega_e", "omega_i", "gamma_ge", "gamma_gi", "gamma_ei")
-_CAVITY_FIELDS = ("omega_c", "kappa", "n_max")
-_EDGE_FIELDS = ("g_ge", "g_gi", "g_ei")
+# group -> (spec class, fields that identify an item, noun in messages); every
+# other field of the class is addressable.
+_PATH_GROUPS = {
+    "atoms": (AtomSpec, ("label",), "atom"),
+    "cavities": (CavitySpec, ("label",), "cavity"),
+    "edges": (CouplingEdge, ("atom", "cavity"), "edge"),
+}
 
 
 def _resolve_path(dev: DeviceSpec, path: str):
-    """Split a dotted path into (kind, object index, field name)."""
+    """Split a dotted path into (group, object index, field name)."""
     parts = path.split(".")
-    if len(parts) == 3 and parts[0] == "atoms":
-        _, label, fieldname = parts
-        if fieldname not in _ATOM_FIELDS:
-            raise ValueError(f"unknown atom field {fieldname!r} in {path!r}")
-        for k, a in enumerate(dev.atoms):
-            if a.label == label:
-                return ("atoms", k, fieldname)
-        raise ValueError(f"no atom labeled {label!r} in {path!r}")
-    if len(parts) == 3 and parts[0] == "cavities":
-        _, label, fieldname = parts
-        if fieldname not in _CAVITY_FIELDS:
-            raise ValueError(f"unknown cavity field {fieldname!r} in {path!r}")
-        for k, c in enumerate(dev.cavities):
-            if c.label == label:
-                return ("cavities", k, fieldname)
-        raise ValueError(f"no cavity labeled {label!r} in {path!r}")
-    if len(parts) == 4 and parts[0] == "edges":
-        _, atom, cavity, fieldname = parts
-        if fieldname not in _EDGE_FIELDS:
-            raise ValueError(f"unknown edge field {fieldname!r} in {path!r}")
-        for k, e in enumerate(dev.edges):
-            if e.atom == atom and e.cavity == cavity:
-                return ("edges", k, fieldname)
-        raise ValueError(f"no edge {atom}-{cavity} in {path!r}")
-    raise ValueError(
-        f"parameter path {path!r} must look like atoms.<label>.<field>, "
-        "cavities.<label>.<field>, or edges.<atom>.<cavity>.<field>"
-    )
+    group = _PATH_GROUPS.get(parts[0])
+    if group is None or len(parts) != len(group[1]) + 2:
+        raise ValueError(
+            f"parameter path {path!r} must look like atoms.<label>.<field>, "
+            "cavities.<label>.<field>, or edges.<atom>.<cavity>.<field>"
+        )
+    cls, keys, noun = group
+    ids, fieldname = tuple(parts[1:-1]), parts[-1]
+    if fieldname in keys or fieldname not in {f.name for f in fields(cls)}:
+        raise ValueError(f"unknown {noun} field {fieldname!r} in {path!r}")
+    for k, item in enumerate(getattr(dev, parts[0])):
+        if tuple(getattr(item, key) for key in keys) == ids:
+            return (parts[0], k, fieldname)
+    name = f"labeled {ids[0]!r}" if len(ids) == 1 else "-".join(ids)
+    raise ValueError(f"no {noun} {name} in {path!r}")
 
 
 def get_parameter(dev: DeviceSpec, path: str) -> float:

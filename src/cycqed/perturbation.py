@@ -103,8 +103,11 @@ class EffectiveCoupling:
 
     @property
     def period(self) -> float:
-        """Full population-exchange period pi / |lambda| (ns for GHz devices)."""
-        return math.pi / abs(self.lambda_eff)
+        """Full population-exchange period pi / |lambda| (ns for GHz devices).
+
+        Infinite when no path couples the pair (lambda = 0).
+        """
+        return math.pi / abs(self.lambda_eff) if self.lambda_eff else math.inf
 
 
 def enumerate_paths(

@@ -11,21 +11,12 @@ tighter tolerance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    _no_extras,
-    _number,
-    _require_mapping,
-    _take,
-    canonical_text,
-    device_to_obj,
-    parse_device,
-)
+from .config import ConfigError, from_obj, read_json
 from .device import (
     DeviceSpec,
     build_bare_hamiltonian,
@@ -41,7 +32,7 @@ from .dynamics import (
     standard_observables,
 )
 from .perturbation import effective_coupling, matched_control_frequency
-from .spectral import CrossingReport, diagonalize, find_resonance, sweep_spectrum
+from .spectral import CrossingReport, diagonalize, find_resonance
 
 SCENARIO_NAMES = (
     "fig2_spectrum",
@@ -63,16 +54,18 @@ class MetricSpec:
     Exactly one comparison kind is set. ``source`` records where the
     expectation comes from, so a failing check distinguishes disagreement
     with the published device characterization from a plain code
-    regression.
+    regression. Files write only the fields that differ from their defaults.
     """
 
-    name: str
+    OMIT_DEFAULTS = True
+
+    name: str = field(metadata={"key": "metric"})
     source: str
     value: float | None = None
     rtol: float = 0.0
     atol: float = 0.0
-    min_value: float | None = None
-    max_value: float | None = None
+    min_value: float | None = field(default=None, metadata={"key": "min"})
+    max_value: float | None = field(default=None, metadata={"key": "max"})
     count: int | None = None
 
     def __post_init__(self):
@@ -132,6 +125,8 @@ class EvolvePlan:
     are still computed on the nominal device.
     """
 
+    KIND = "evolve"
+
     initial: str
     final: str
     order: int
@@ -144,7 +139,13 @@ class EvolvePlan:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Eigenvalue sweep of one parameter, tracking a sorted level pair."""
+    """Eigenvalue sweep of one parameter, tracking a sorted level pair.
+
+    ``points`` is the grid for sweeping the range; the scenario check needs
+    only the crossing and does not sweep.
+    """
+
+    KIND = "sweep"
 
     parameter: str
     start: float
@@ -158,10 +159,10 @@ class Scenario:
     """A device plus its run plan and expected metrics."""
 
     name: str
-    description: str
     device: DeviceSpec
     plan: EvolvePlan | SweepPlan
-    expected: tuple[MetricSpec, ...]
+    description: str = ""
+    expected: tuple[MetricSpec, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -198,147 +199,7 @@ class ScenarioReport:
         return out
 
 
-# -- parsing ------------------------------------------------------------------
-
-def parse_metric(obj, where: str) -> MetricSpec:
-    sub = dict(_require_mapping(obj, where))
-    name = str(_take(sub, "metric", where))
-    source = str(_take(sub, "source", where))
-    kwargs = {}
-    if "value" in sub:
-        kwargs["value"] = _number(_take(sub, "value", where), where, "value")
-    if "rtol" in sub:
-        kwargs["rtol"] = _number(_take(sub, "rtol", where), where, "rtol")
-    if "atol" in sub:
-        kwargs["atol"] = _number(_take(sub, "atol", where), where, "atol")
-    if "min" in sub:
-        kwargs["min_value"] = _number(_take(sub, "min", where), where, "min")
-    if "max" in sub:
-        kwargs["max_value"] = _number(_take(sub, "max", where), where, "max")
-    if "count" in sub:
-        count = _take(sub, "count", where)
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ConfigError(f"{where}: count must be an integer")
-        kwargs["count"] = count
-    _no_extras(sub, where)
-    try:
-        return MetricSpec(name=name, source=source, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def parse_plan(obj, where: str) -> EvolvePlan | SweepPlan:
-    sub = dict(_require_mapping(obj, where))
-    kind = str(_take(sub, "kind", where))
-    if kind == "evolve":
-        samples = _take(sub, "samples", where)
-        order = _take(sub, "order", where)
-        for label, val in (("samples", samples), ("order", order)):
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"{where}: {label} must be an integer")
-        step = _take(sub, "step", where, None)
-        retune = _take(sub, "retune", where, False)
-        if not isinstance(retune, bool):
-            raise ConfigError(f"{where}: retune must be a boolean")
-        plan = EvolvePlan(
-            initial=str(_take(sub, "initial", where)),
-            final=str(_take(sub, "final", where)),
-            order=order,
-            t_final=_number(_take(sub, "t_final", where), where, "t_final"),
-            samples=samples,
-            step=None if step is None else _number(step, where, "step"),
-            method=str(_take(sub, "method", where, "split")),
-            retune=retune,
-        )
-        _no_extras(sub, where)
-        return plan
-    if kind == "sweep":
-        points = _take(sub, "points", where)
-        if isinstance(points, bool) or not isinstance(points, int):
-            raise ConfigError(f"{where}: points must be an integer")
-        levels = _take(sub, "levels", where)
-        if (
-            not isinstance(levels, list)
-            or len(levels) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in levels)
-        ):
-            raise ConfigError(f"{where}: levels must be a pair of integers")
-        plan = SweepPlan(
-            parameter=str(_take(sub, "parameter", where)),
-            start=_number(_take(sub, "start", where), where, "start"),
-            stop=_number(_take(sub, "stop", where), where, "stop"),
-            points=points,
-            levels=(levels[0], levels[1]),
-        )
-        _no_extras(sub, where)
-        return plan
-    raise ConfigError(f"{where}: unknown plan kind {kind!r}")
-
-
-def parse_scenario(obj, where: str = "scenario") -> Scenario:
-    """Build a Scenario from parsed JSON, validating shape and keys."""
-    data = dict(_require_mapping(obj, where))
-    name = str(_take(data, "name", where))
-    description = str(_take(data, "description", where, ""))
-    device = parse_device(_take(data, "device", where), where=f"{where}.device")
-    plan = parse_plan(_take(data, "plan", where), f"{where}.plan")
-    expected = tuple(
-        parse_metric(entry, f"{where}.expected[{k}]")
-        for k, entry in enumerate(_take(data, "expected", where, []))
-    )
-    _no_extras(data, where)
-    return Scenario(name, description, device, plan, expected)
-
-
-def metric_to_obj(m: MetricSpec) -> dict:
-    out: dict = {"metric": m.name, "source": m.source}
-    if m.value is not None:
-        out["value"] = float(m.value)
-        if m.rtol:
-            out["rtol"] = float(m.rtol)
-        if m.atol:
-            out["atol"] = float(m.atol)
-    if m.min_value is not None:
-        out["min"] = float(m.min_value)
-    if m.max_value is not None:
-        out["max"] = float(m.max_value)
-    if m.count is not None:
-        out["count"] = int(m.count)
-    return out
-
-
-def plan_to_obj(plan: EvolvePlan | SweepPlan) -> dict:
-    if isinstance(plan, EvolvePlan):
-        return {
-            "kind": "evolve",
-            "initial": plan.initial,
-            "final": plan.final,
-            "order": plan.order,
-            "t_final": float(plan.t_final),
-            "samples": plan.samples,
-            "step": None if plan.step is None else float(plan.step),
-            "method": plan.method,
-            "retune": plan.retune,
-        }
-    return {
-        "kind": "sweep",
-        "parameter": plan.parameter,
-        "start": float(plan.start),
-        "stop": float(plan.stop),
-        "points": plan.points,
-        "levels": list(plan.levels),
-    }
-
-
-def scenario_to_obj(s: Scenario) -> dict:
-    return {
-        "name": s.name,
-        "description": s.description,
-        "device": device_to_obj(s.device),
-        "plan": plan_to_obj(s.plan),
-        "expected": [metric_to_obj(m) for m in s.expected],
-    }
-
+# -- loading ------------------------------------------------------------------
 
 def scenario_text(name: str) -> str:
     """Raw canonical text of a bundled scenario file."""
@@ -358,14 +219,12 @@ def load_scenario(name: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:  # bundled files are validated by tests
         raise ConfigError(f"scenario {name}: line {exc.lineno}: {exc.msg}") from exc
-    return parse_scenario(obj, where=f"scenario {name}")
+    return from_obj(Scenario, obj, f"scenario {name}")
 
 
 def load_scenario_file(path) -> Scenario:
     """Load a scenario from an external file path."""
-    from .config import read_json
-
-    return parse_scenario(read_json(path), where=str(path))
+    return from_obj(Scenario, read_json(path), str(path))
 
 
 # -- running ------------------------------------------------------------------
@@ -460,8 +319,6 @@ def _measure_evolve(dev: DeviceSpec, plan: EvolvePlan) -> dict[str, float]:
 
 
 def _measure_sweep(dev: DeviceSpec, plan: SweepPlan) -> dict[str, float]:
-    values = np.linspace(plan.start, plan.stop, plan.points)
-    sweep_spectrum(dev, plan.parameter, values, levels=plan.levels)
     report = find_resonance(
         dev, plan.parameter, (plan.start, plan.stop), plan.levels
     )

@@ -171,6 +171,23 @@ class TestSpectrum:
         assert code == 2
         assert "cannot load device" in err
 
+    def test_invalid_atom_in_device_file_is_usage_error(self, device_files, tmp_path, capsys):
+        obj = json.loads(device_files["three"].read_text())
+        obj["atoms"][0]["omega_e"] = -1.0
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(
+            ["coupling", "--device", path,
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "4"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot load device {path}: {path}.atoms[0]: "
+            "atom '1': omega_e must be positive\n"
+        )
+
 
 class TestCoupling:
     LINE = re.compile(
@@ -290,6 +307,30 @@ class TestCoupling:
         assert code == 2
         assert out == ""
         assert err == "error: --initial and --final are the same state 0,e,g,g\n"
+
+    @pytest.mark.parametrize(
+        "extra, order",
+        [([], "2"), (["--set", "edges.1.c.g_ge=0"], "4")],
+    )
+    def test_pair_with_no_path_is_computation_error(self, device_files, capsys, extra, order):
+        code, out, err = run_cli(
+            ["coupling", "--device", device_files["three"], *extra,
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", order],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: no order-{order} path couples 0,e,g,g and 0,g,e,e\n"
+
+    def test_closed_form_only_at_its_own_order(self, device_files, capsys):
+        code, out, _ = run_cli(
+            ["coupling", "--device", device_files["four"],
+             "--initial", "0,e,g,g,g", "--final", "0,g,e,e,e", "--order", "8"],
+            capsys,
+        )
+        assert code == 0
+        assert "paths = 288" in out
+        assert "closed form" not in out
 
     def test_bad_state_label_is_usage_error(self, device_files, capsys):
         code, _, err = run_cli(
@@ -477,7 +518,7 @@ class TestCheck:
             ["check", "--only", "fig2_spectrum", "--scenario-file", bad],
             capsys,
         )
-        assert code == 1
+        assert code == 2
         assert "line 1" in err
 
     def test_failing_external_scenario(self, tmp_path, capsys):

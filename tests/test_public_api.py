@@ -2,8 +2,10 @@
 
 The list sits under "### Public names" in the README's "Python API"
 section. Every name the benchmark reaches as ``cycqed.X`` must be on it.
+Inside the package, no module imports another module's private names.
 """
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -38,3 +40,19 @@ def test_benchmark_names_are_public():
     # submodules (cycqed.device, cycqed.hilbert, ...) are not namespace names
     used = {name for name in used if importlib.util.find_spec(f"cycqed.{name}") is None}
     assert used and used <= set(cycqed.__all__)
+
+
+def test_no_module_imports_a_private_name():
+    offenders = []
+    for path in sorted((ROOT / "src" / "cycqed").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            within = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "cycqed"
+            )
+            if within:
+                offenders += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert offenders == []

@@ -11,7 +11,7 @@ from conftest import (
     make_three_atom_device,
     make_two_cavity_device,
 )
-from cycqed.config import ConfigError, canonical_text, device_to_obj
+from cycqed.config import ConfigError, canonical_text, from_obj, to_obj
 from cycqed.device import validate_dispersive
 from cycqed.scenarios import (
     SCENARIO_NAMES,
@@ -22,10 +22,8 @@ from cycqed.scenarios import (
     load_scenario,
     load_scenario_file,
     locate_crossing,
-    parse_scenario,
     run_scenario,
     scenario_text,
-    scenario_to_obj,
 )
 
 REFERENCE_BUILDERS = {
@@ -52,14 +50,14 @@ class TestBundledFiles:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_round_trip_is_bit_identical(self, name):
         text = scenario_text(name)
-        scenario = parse_scenario(json.loads(text), where=name)
-        assert canonical_text(scenario_to_obj(scenario)) == text
+        scenario = from_obj(Scenario, json.loads(text), name)
+        assert canonical_text(to_obj(scenario)) == text
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_device_matches_reference_builder(self, name):
         scenario = load_scenario(name)
         reference = REFERENCE_BUILDERS[name]()
-        assert device_to_obj(scenario.device) == device_to_obj(reference)
+        assert to_obj(scenario.device) == to_obj(reference)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_device_is_dispersive_everywhere(self, name):
@@ -143,43 +141,43 @@ class TestParsing:
         obj = self.base_obj()
         obj["surprise"] = 1
         with pytest.raises(ConfigError, match="surprise"):
-            parse_scenario(obj)
+            from_obj(Scenario, obj, "scenario")
 
     def test_missing_plan_rejected(self):
         obj = self.base_obj()
         del obj["plan"]
         with pytest.raises(ConfigError, match="plan"):
-            parse_scenario(obj)
+            from_obj(Scenario, obj, "scenario")
 
     def test_bad_retune_type_rejected(self):
         obj = self.base_obj()
         obj["plan"]["retune"] = "yes"
         with pytest.raises(ConfigError, match="retune"):
-            parse_scenario(obj)
+            from_obj(Scenario, obj, "scenario")
 
     def test_bad_samples_type_rejected(self):
         obj = self.base_obj()
         obj["plan"]["samples"] = 200.5
         with pytest.raises(ConfigError, match="samples"):
-            parse_scenario(obj)
+            from_obj(Scenario, obj, "scenario")
 
     def test_unknown_plan_kind_rejected(self):
         obj = self.base_obj()
         obj["plan"] = {"kind": "meditate"}
         with pytest.raises(ConfigError, match="meditate"):
-            parse_scenario(obj)
+            from_obj(Scenario, obj, "scenario")
 
     def test_bad_levels_rejected(self):
         obj = json.loads(scenario_text("fig2_spectrum"))
         obj["plan"]["levels"] = [6]
         with pytest.raises(ConfigError, match="levels"):
-            parse_scenario(obj)
+            from_obj(Scenario, obj, "scenario")
 
     def test_metric_error_includes_index(self):
         obj = self.base_obj()
         obj["expected"][3]["source"] = "hearsay"
         with pytest.raises(ConfigError, match=r"expected\[3\]"):
-            parse_scenario(obj)
+            from_obj(Scenario, obj, "scenario")
 
 
 class TestRunner:
