@@ -28,7 +28,7 @@ from .device import (
     validate_dispersive,
     with_parameter,
 )
-from .dynamics import evolve, extract_period, standard_observables
+from .dynamics import METHODS, evolve, extract_period, standard_observables
 from .perturbation import (
     CHI_KINDS,
     PerturbationError,
@@ -321,12 +321,13 @@ def cmd_check(args) -> int:
             scenarios.append(load_scenario_file(path))
         except (OSError, ConfigError) as exc:
             raise UsageError(f"cannot load scenario {path}: {exc}") from exc
-    workers = max(1, args.threads)
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     try:
-        if workers == 1:
+        if args.threads == 1:
             reports = [run_scenario(s) for s in scenarios]
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with ThreadPoolExecutor(max_workers=args.threads) as pool:
                 reports = list(pool.map(run_scenario, scenarios))
     except KeyError as exc:
         raise ComputationError(str(exc.args[0])) from exc
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--t-final", type=float, required=True, help="duration (ns)")
     dynamics.add_argument("--samples", type=int, default=201, help="output samples")
     dynamics.add_argument(
-        "--method", choices=("auto", "rk45", "split"), default="auto"
+        "--method", choices=METHODS, default="auto"
     )
     dynamics.add_argument("--step", type=float, help="split-step segment length (ns)")
     dynamics.set_defaults(func=cmd_dynamics)

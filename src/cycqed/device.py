@@ -15,7 +15,7 @@ plain two-level systems when ``omega_i`` is omitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -349,6 +349,38 @@ def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
             rows = cols + strides[cav] - (upper - lower) * strides[atom]
             h[rows, cols] = h[cols, rows] = g * factor[cols]
     return h
+
+
+@dataclass(frozen=True, eq=False)
+class Model:
+    """A device's space and interaction, assembled once for many H(x).
+
+    ``at(path, x)`` equals ``build_bare_hamiltonian + build_interaction_rwa``
+    of ``with_parameter(dev, path, x)`` bit for bit: a frequency field moves
+    only the diagonal, which the interaction leaves zero, and a coupling
+    field rebuilds the interaction. Every field enters H affinely.
+    """
+
+    dev: DeviceSpec
+    space: CompositeSpace = field(init=False)
+    interaction: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        space = build_space(self.dev)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "interaction", build_interaction_rwa(self.dev, space))
+
+    def at(self, path: str, x: float) -> np.ndarray:
+        """The device Hamiltonian with the field at ``path`` set to ``x``."""
+        if path.endswith(".n_max") and x != get_parameter(self.dev, path):
+            raise ValueError("sweep parameter changes the space dimension")
+        point = with_parameter(self.dev, path, x)
+        if path.startswith("edges."):
+            h = build_interaction_rwa(point, self.space)
+        else:
+            h = self.interaction.copy()
+        np.fill_diagonal(h, bare_energy_vector(point, self.space))
+        return h
 
 
 @dataclass(frozen=True)

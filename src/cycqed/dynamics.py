@@ -585,12 +585,14 @@ class _SplitStepper:
         return flat
 
 
+# Integration methods evolve accepts; auto is split.
+METHODS = ("auto", "rk45", "split")
+
+
 def _resolve_method(method: str) -> str:
-    if method == "auto":
-        return "split"
-    if method not in ("rk45", "split"):
+    if method not in METHODS:
         raise ValueError(f"unknown integration method {method!r}")
-    return method
+    return "split" if method == "auto" else method
 
 
 def _min_eigenvalue(blocks) -> float:

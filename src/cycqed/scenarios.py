@@ -19,13 +19,13 @@ import numpy as np
 from .config import ConfigError, from_obj, read_json
 from .device import (
     DeviceSpec,
-    build_bare_hamiltonian,
-    build_interaction_rwa,
+    Model,
     build_space,
     parse_state_label,
     with_parameter,
 )
 from .dynamics import (
+    METHODS,
     entanglement_checkpoint,
     evolve,
     extract_period,
@@ -136,6 +136,12 @@ class EvolvePlan:
     method: str = "split"
     retune: bool = False
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(
+                f"unknown integration method {self.method!r}; known: {', '.join(METHODS)}"
+            )
+
 
 @dataclass(frozen=True)
 class SweepPlan:
@@ -178,18 +184,25 @@ class MetricCheck:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Every metric check of one scenario run plus all measured values."""
+    """Every metric check of one scenario run plus all measured values.
+
+    ``error`` holds the reason a plan that ran could not be measured; such a
+    report has no checks and fails.
+    """
 
     name: str
     checks: tuple[MetricCheck, ...]
     measured: dict[str, float]
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.error is None and all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
         out = [f"scenario {self.name}: {'PASS' if self.passed else 'FAIL'}"]
+        if self.error is not None:
+            out.append(f"  error: {self.error}")
         for c in self.checks:
             mark = "pass" if c.passed else "FAIL"
             out.append(
@@ -240,14 +253,13 @@ def locate_crossing(dev: DeviceSpec, initial: str, final: str) -> CrossingReport
     control = dev.atoms[0].label
     parameter = f"atoms.{control}.omega_e"
     matched = matched_control_frequency(dev)
-    at = with_parameter(dev, parameter, matched)
-    space = build_space(at)
-    bare_i = parse_state_label(at, space, initial)
-    bare_f = parse_state_label(at, space, final)
-    h = build_bare_hamiltonian(at, space) + build_interaction_rwa(at, space)
-    _, vectors = diagonalize(h)
+    model = Model(dev)
+    bare_i = parse_state_label(dev, model.space, initial)
+    bare_f = parse_state_label(dev, model.space, final)
+    _, vectors = diagonalize(model.at(parameter, matched))
     weight = np.abs(vectors[bare_i.index, :]) ** 2 + np.abs(vectors[bare_f.index, :]) ** 2
     pair = tuple(sorted(int(k) for k in np.argsort(weight)[-2:]))
+    del model, vectors  # the search below allocates its own d x d arrays
     return find_resonance(
         dev, parameter, (matched - CROSSING_HALFWIDTH, matched + CROSSING_HALFWIDTH), pair
     )
@@ -329,12 +341,16 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Execute the plan and compare every expected metric.
 
     Raises KeyError when an expected metric names a quantity the plan does
-    not produce; numerical failures surface as failed checks, not errors.
+    not produce. Numerical failures are not raised: a plan that cannot be
+    measured (no crossing in the bracket, a trajectory too short or too
+    coarse for a period, a failed integration) gives a failed report that
+    carries the reason.
     """
-    if isinstance(scenario.plan, EvolvePlan):
-        measured = _measure_evolve(scenario.device, scenario.plan)
-    else:
-        measured = _measure_sweep(scenario.device, scenario.plan)
+    measure = _measure_evolve if isinstance(scenario.plan, EvolvePlan) else _measure_sweep
+    try:
+        measured = measure(scenario.device, scenario.plan)
+    except (ValueError, RuntimeError) as exc:
+        return ScenarioReport(scenario.name, (), {}, error=str(exc))
     checks = []
     for spec in scenario.expected:
         if spec.name not in measured:

@@ -1,11 +1,18 @@
 """Exact diagonalization, parameter sweeps, and avoided-crossing location.
 
-Hamiltonians arrive as real symmetric float64 matrices and are decomposed
-with real ``eigh``/``eigvalsh``. Eigenvalues are always reported sorted
+Hamiltonians arrive as real symmetric float64 matrices, assembled once per
+device by ``device.Model``, and are decomposed with real
+``eigh``/``eigvalsh``: a sweep solves stacks of points at once, a crossing
+search only its two levels. Eigenvalues are always reported sorted
 ascending and in the device's angular-frequency units. Levels are
-addressed by 0-based sorted index, not by adiabatic continuation; branch
-identity across a crossing is read off the reported bare-state content
-instead.
+addressed by 0-based sorted index, not by adiabatic continuation, in the
+crossing search too; branch identity across a crossing is read off the
+reported bare-state content instead.
+
+A gap minimum is a root of the difference of the two levels' slopes. By
+Hellmann–Feynman (Feynman, Phys. Rev. 56, 340, 1939) the slope of a level
+is v^T (dH/dx) v for its eigenvector v, so one partial solve gives both
+slopes at a point.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceSpec, build_bare_hamiltonian, build_interaction_rwa, build_space, with_parameter
+from .device import DeviceSpec, Model
 
 # A Hamiltonian must satisfy |H - H^T|_max <= rtol * |H|_max.
 SYMMETRY_RTOL = 1e-12
@@ -22,11 +29,16 @@ SYMMETRY_RTOL = 1e-12
 # Gram matrix of the eigenvector set must match identity this tightly.
 ORTHONORMALITY_TOL = 1e-9
 
-# Relative location tolerance of the golden-section refinement.
-CROSSING_XTOL = 1e-6
+# Relative tolerance of the slope-difference root. Near a smooth minimum one
+# solve more than at 1e-6 buys it; at an exact crossing, where the gap is
+# linear in the location error, it keeps the gap near 1e-11 of the location.
+CROSSING_XTOL = 1e-11
 
 # Points of the coarse gap scan that brackets the minimum before refinement.
 COARSE_POINTS = 17
+
+# Largest stack of Hamiltonians a sweep solves in one call, in bytes.
+SWEEP_STACK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -82,21 +94,27 @@ class CrossingReport:
                     raise ValueError("branch weights exceed 1")
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column positive."""
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Make the largest-magnitude component of each column positive, in place."""
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    return vectors * np.where(lead < 0, -1.0, 1.0)
+    vectors *= np.where(lead < 0, -1.0, 1.0)
 
 
-def diagonalize(H: np.ndarray, want_vectors: bool = True):
+def diagonalize(H: np.ndarray, want_vectors: bool = True, levels: tuple[int, int] | None = None):
     """Eigen-decompose a real symmetric Hamiltonian.
 
     Parameters
     ----------
     H : numpy.ndarray
-        Real square matrix, symmetric within relative residual 1e-12.
+        Real square matrix, symmetric within relative residual 1e-12. A
+        stack of shape (n, d, d) is accepted for all eigenvalues without
+        vectors.
     want_vectors : bool
         Skip eigenvector computation (and sign fixing) when False.
+    levels : (int, int) or None
+        Solve only for these two 0-based sorted levels (LAPACK's MRRR
+        driver on the index range between them); both results then hold
+        just the pair, lower level first.
 
     Returns
     -------
@@ -106,24 +124,32 @@ def diagonalize(H: np.ndarray, want_vectors: bool = True):
     """
     if np.iscomplexobj(H):
         raise TypeError("Hamiltonian must be a real array")
-    scale = float(np.max(np.abs(H)))
-    residual = float(np.max(np.abs(H - H.T)))
-    if residual > SYMMETRY_RTOL * scale:
-        raise ValueError(f"matrix is not Hermitian (residual {residual / scale:.3e})")
-    if not want_vectors:
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
+        raise ValueError(f"Hamiltonian must be square, got shape {H.shape}")
+    # one matrix at a time: a stack-wide H - H^T would double a sweep's peak memory
+    for h in H.reshape((-1,) + H.shape[-2:]):
+        scale = float(np.max(np.abs(h)))
+        residual = float(np.max(np.abs(h - h.T)))
+        if residual > SYMMETRY_RTOL * scale:
+            raise ValueError(f"matrix is not Hermitian (residual {residual / scale:.3e})")
+    if levels is not None:
+        from scipy.linalg import eigh
+
+        l1, l2 = levels
+        result = eigh(H, eigvals_only=not want_vectors, subset_by_index=[l1, l2], driver="evr")
+        if not want_vectors:
+            return result[[0, -1]], None
+        energies, vectors = result[0][[0, -1]], result[1][:, [0, -1]]
+    elif not want_vectors:
         return np.linalg.eigvalsh(H), None
-    energies, vectors = np.linalg.eigh(H)
-    vectors = _fix_signs(vectors)
+    else:
+        energies, vectors = np.linalg.eigh(H)
+    _fix_signs(vectors)
     gram = vectors.T @ vectors
     residual = np.max(np.abs(gram - np.eye(gram.shape[0])))
     if residual > ORTHONORMALITY_TOL:
         raise RuntimeError(f"eigenvector set lost orthonormality ({residual:.3e})")
     return energies, vectors
-
-
-def _hamiltonian(dev: DeviceSpec):
-    space = build_space(dev)
-    return space, build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
 
 
 def sweep_spectrum(
@@ -133,6 +159,8 @@ def sweep_spectrum(
     levels: tuple[int, ...] = (),
 ) -> SpectrumResult:
     """Diagonalize the device Hamiltonian at every value of one parameter.
+
+    The points are solved as stacks of at most ``SWEEP_STACK_BYTES``.
 
     Parameters
     ----------
@@ -151,21 +179,23 @@ def sweep_spectrum(
     values = np.asarray(list(values), dtype=float)
     if values.size == 0:
         raise ValueError("sweep needs at least one value")
-    dim = build_space(dev).total_dim
+    model = Model(dev)
+    dim = model.space.total_dim
     _check_levels(levels, dim)
     energies = np.empty((values.size, dim))
-    for k, value in enumerate(values):
-        point = with_parameter(dev, parameter, float(value))
-        space, h = _hamiltonian(point)
-        if space.total_dim != dim:
-            raise ValueError("sweep parameter changes the space dimension")
-        evals, _ = diagonalize(h, want_vectors=False)
+    chunk = max(1, SWEEP_STACK_BYTES // (dim * dim * 8))
+    for start in range(0, values.size, chunk):
+        points = values[start : start + chunk]
+        stack = np.empty((points.size, dim, dim))
+        for h, value in zip(stack, points):
+            h[...] = model.at(parameter, float(value))
+        evals, _ = diagonalize(stack, want_vectors=False)
         # eigh eigenvalue sum must reproduce the trace
-        trace = float(np.trace(h))
-        scale = max(abs(trace), float(np.sum(np.abs(evals))), 1e-300)
-        if abs(evals.sum() - trace) > 1e-10 * scale:
+        trace = np.trace(stack, axis1=1, axis2=2)
+        scale = np.maximum(np.maximum(np.abs(trace), np.sum(np.abs(evals), axis=1)), 1e-300)
+        if np.any(np.abs(evals.sum(axis=1) - trace) > 1e-10 * scale):
             raise RuntimeError("eigenvalue sum drifted from the trace")
-        energies[k] = evals
+        energies[start : start + points.size] = evals
     return SpectrumResult(parameter, values, energies, tuple(levels))
 
 
@@ -190,8 +220,14 @@ def find_resonance(
     """Locate the minimum gap between two sorted levels inside a bracket.
 
     A coarse scan of ``COARSE_POINTS`` points establishes an interior
-    minimum, which a golden-section search refines to relative location
-    tolerance 1e-6.
+    minimum. Brent's method then finds the root of the slope difference of
+    the two levels between the scan's neighbours of that point, to
+    relative tolerance ``CROSSING_XTOL``. Each slope is the
+    Hellmann–Feynman expectation v^T (dH/dx) v of the level's eigenvector;
+    H is affine in every field, so dH/dx is the difference quotient of H
+    over the bracket. The levels are the sorted indices at every point, and
+    every solve is a partial one for those two levels only. The gap and
+    the content at the crossing come from the solve at the root.
 
     Parameters
     ----------
@@ -212,42 +248,46 @@ def find_resonance(
     lo, hi = map(float, bracket)
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
-    l1, l2 = sorted(int(l) for l in levels)
-    _check_levels((l1, l2), build_space(dev).total_dim)
+    pair = tuple(sorted(int(l) for l in levels))
+    model = Model(dev)
+    _check_levels(pair, model.space.total_dim)
 
-    def gap_at(x: float) -> float:
-        point = with_parameter(dev, parameter, x)
-        _, h = _hamiltonian(point)
-        evals, _ = diagonalize(h, want_vectors=False)
-        return float(evals[l2] - evals[l1])
-
+    # the end points' vectors give the far content
     grid = np.linspace(lo, hi, COARSE_POINTS)
-    gaps = np.array([gap_at(x) for x in grid])
-    k = int(np.argmin(gaps))
+    scan = [
+        diagonalize(model.at(parameter, x), want_vectors=j in (0, COARSE_POINTS - 1), levels=pair)
+        for j, x in enumerate(grid)
+    ]
+    k = int(np.argmin([evals[1] - evals[0] for evals, _ in scan]))
     if k == 0 or k == COARSE_POINTS - 1:
         raise ValueError("no interior gap minimum in the bracket")
-    from scipy.optimize import golden
+    slope_op = model.at(parameter, hi)
+    slope_op -= model.at(parameter, lo)
+    slope_op /= hi - lo
+    # x -> (slope difference, pair energies, pair vectors) of every solve
+    solved = {}
 
-    location = float(
-        golden(gap_at, brack=(grid[k - 1], grid[k], grid[k + 1]), tol=CROSSING_XTOL)
-    )
-    gap = gap_at(location)
+    def slope_difference(x: float) -> float:
+        if x not in solved:
+            evals, vecs = diagonalize(model.at(parameter, x), levels=pair)
+            slopes = np.sum(vecs * (slope_op @ vecs), axis=0)
+            solved[x] = float(slopes[1] - slopes[0]), evals, vecs
+        return solved[x][0]
 
-    def branch_content(x: float):
-        point = with_parameter(dev, parameter, x)
-        space, h = _hamiltonian(point)
-        _, vecs = diagonalize(h)
-        return (
-            _dominant_content(space, vecs[:, l1]),
-            _dominant_content(space, vecs[:, l2]),
-        )
+    from scipy.optimize import brentq
+
+    location = float(brentq(slope_difference, grid[k - 1], grid[k + 1], rtol=CROSSING_XTOL))
+    _, evals, vecs = solved[location]
+
+    def branch_content(vectors: np.ndarray):
+        return tuple(_dominant_content(model.space, v) for v in vectors.T)
 
     return CrossingReport(
         parameter=parameter,
-        levels=(l1, l2),
+        levels=pair,
         location=location,
-        gap=gap,
-        content_at=branch_content(location),
-        content_below=branch_content(lo),
-        content_above=branch_content(hi),
+        gap=float(evals[1] - evals[0]),
+        content_at=branch_content(vecs),
+        content_below=branch_content(scan[0][1]),
+        content_above=branch_content(scan[-1][1]),
     )

@@ -89,7 +89,7 @@ def _gap_vs_formula(dev, initial: str, final: str, order: int):
     """Exact minimum dressed gap and 2|lambda| from the path sum.
 
     The path sum is evaluated at the shift-corrected matching frequency,
-    the gap by golden-section refinement around it, mirroring how the
+    the gap by refining the crossing around it, mirroring how the
     devices are characterized.
     """
     crossing = locate_crossing(dev, initial, final)

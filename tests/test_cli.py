@@ -16,6 +16,7 @@ from conftest import (
 )
 from cycqed.cli import main
 from cycqed.config import save_device
+from cycqed.scenarios import scenario_text
 
 
 def run_cli(argv, capsys):
@@ -541,6 +542,50 @@ class TestCheck:
         assert code == 1
         assert "scenario fig2_tightened: FAIL" in out
         assert "passed 1/2 scenarios" in out
+
+    @staticmethod
+    def three_atom_variant(tmp_path, **plan):
+        """The bundled three-atom scenario with some plan fields changed."""
+        obj = json.loads(scenario_text("three_atom_one_cavity"))
+        obj["plan"].update(plan)
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_unknown_method_is_usage_error(self, tmp_path, capsys):
+        path = self.three_atom_variant(tmp_path, method="foo")
+        code, out, err = run_cli(
+            ["check", "--only", "fig2_spectrum", "--scenario-file", path], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unknown integration method 'foo'" in err
+
+    @pytest.mark.parametrize(
+        "plan, reason",
+        [
+            ({"t_final": 5, "samples": 3}, "trajectory too short for period extraction"),
+            ({"t_final": 100, "samples": 11, "step": 1e6}, "no interior minimum found in 'p_e_1'"),
+        ],
+    )
+    def test_unmeasurable_plan_is_a_failed_scenario(self, plan, reason, tmp_path, capsys):
+        path = self.three_atom_variant(tmp_path, **plan)
+        code, out, err = run_cli(
+            ["check", "--only", "fig2_spectrum", "--scenario-file", path], capsys
+        )
+        assert code == 1
+        assert err == ""
+        assert f"scenario three_atom_one_cavity: FAIL\n  error: {reason}" in out
+        assert "scenario fig2_spectrum: PASS" in out
+        assert "passed 1/2 scenarios" in out
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, threads, capsys):
+        code, out, err = run_cli(["check", "--only", "fig2_spectrum", "--threads", threads], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"--threads must be at least 1, got {threads}" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

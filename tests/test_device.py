@@ -1,10 +1,6 @@
 """Device validation, Hamiltonian assembly, and dispersive diagnostics."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +13,7 @@ from cycqed.device import (
     CavitySpec,
     CouplingEdge,
     DeviceSpec,
+    Model,
     bare_state,
     build_bare_hamiltonian,
     build_interaction_rwa,
@@ -238,19 +235,54 @@ class TestIndexFormAgainstKron:
         h0 = build_bare_hamiltonian(dev, sp)
         assert h0.dtype == np.float64
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        code = (
-            "import sys, cycqed; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+
+@st.composite
+def model_points(draw):
+    """A random device, one frequency or coupling path of it, and a new value.
+
+    The value keeps the device valid: omega_e only falls and omega_i only
+    rises, so omega_i stays above omega_e.
+    """
+    dev = draw(random_devices())
+    paths = [f"cavities.{c.label}.omega_c" for c in dev.cavities]
+    for atom in dev.atoms:
+        paths.append(f"atoms.{atom.label}.omega_e")
+        if atom.levels == 3:
+            paths.append(f"atoms.{atom.label}.omega_i")
+    for edge in dev.edges:
+        names = TRANSITIONS if dev.atom(edge.atom).levels == 3 else TRANSITIONS[:1]
+        paths += [f"edges.{edge.atom}.{edge.cavity}.g_{t}" for t in names]
+    path = draw(st.sampled_from(paths))
+    factor = draw(st.floats(0.5, 1.0))
+    value = get_parameter(dev, path)
+    if path.endswith("omega_e"):
+        x = value * factor
+    elif path.endswith("omega_i"):
+        x = value / factor
+    elif path.endswith("omega_c"):
+        x = 2 * value * factor
+    else:
+        x = 300.0 * (1.0 - factor)
+    return dev, path, x
+
+
+class TestModel:
+    @settings(deadline=None, max_examples=100)
+    @given(model_points())
+    def test_at_matches_fresh_assembly_bit_for_bit(self, point):
+        dev, path, x = point
+        h = Model(dev).at(path, x)
+        moved = with_parameter(dev, path, x)
+        space = build_space(moved)
+        ref = build_bare_hamiltonian(moved, space) + build_interaction_rwa(moved, space)
+        assert h.dtype == ref.dtype and h.shape == ref.shape
+        assert h.tobytes() == ref.tobytes()
+
+    def test_n_max_change_rejected(self):
+        model = Model(make_three_atom_device())
+        assert model.at("cavities.c.n_max", 5).shape == (162, 162)
+        with pytest.raises(ValueError, match="dimension"):
+            model.at("cavities.c.n_max", 4)
 
 
 class TestValidateDispersive:

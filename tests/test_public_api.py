@@ -2,12 +2,16 @@
 
 The list sits under "### Public names" in the README's "Python API"
 section. Every name the benchmark reaches as ``cycqed.X`` must be on it.
-Inside the package, no module imports another module's private names.
+Inside the package, no module imports another module's private names, and
+importing the package loads no scipy solver module.
 """
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cycqed
@@ -56,3 +60,21 @@ def test_no_module_imports_a_private_name():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    # scipy.optimize costs about 0.27 s to import and scipy.linalg 0.07 s; the
+    # functions that need them import them when called
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, cycqed; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'linalg'])))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -11,9 +11,27 @@ on the high side only.
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from cycqed.device import CavitySpec, AtomSpec, CouplingEdge, DeviceSpec, build_space, build_bare_hamiltonian, with_parameter
-from cycqed.spectral import CrossingReport, diagonalize, find_resonance, sweep_spectrum
+from cycqed.device import (
+    AtomSpec,
+    CavitySpec,
+    CouplingEdge,
+    DeviceSpec,
+    build_bare_hamiltonian,
+    build_interaction_rwa,
+    build_space,
+    parse_state_label,
+    with_parameter,
+)
+from cycqed.spectral import (
+    COARSE_POINTS,
+    CrossingReport,
+    diagonalize,
+    find_resonance,
+    sweep_spectrum,
+)
 
 from conftest import make_crossing_sweep_device
 
@@ -168,6 +186,96 @@ class TestFindResonance:
         monkeypatch.setattr("cycqed.spectral.diagonalize", no_scan)
         with pytest.raises(ValueError, match="out of range for dimension 162"):
             find_resonance(make_crossing_sweep_device(), "atoms.1.omega_e", (1.02, 1.07), levels)
+
+
+def golden_reference(dev, parameter, bracket, levels):
+    """(location, gap) by a golden-section search on full spectra.
+
+    The same coarse scan as find_resonance, then scipy's golden section to
+    relative tolerance 1e-6 on the gap from eigvalsh of a freshly assembled
+    H; None when the scan has no interior minimum.
+    """
+    from scipy.optimize import golden
+
+    l1, l2 = levels
+
+    def gap_at(x):
+        point = with_parameter(dev, parameter, x)
+        space = build_space(point)
+        h = build_bare_hamiltonian(point, space) + build_interaction_rwa(point, space)
+        evals = np.linalg.eigvalsh(h)
+        return float(evals[l2] - evals[l1])
+
+    grid = np.linspace(*bracket, COARSE_POINTS)
+    k = int(np.argmin([gap_at(x) for x in grid]))
+    if k in (0, COARSE_POINTS - 1):
+        return None
+    location = float(golden(gap_at, brack=(grid[k - 1], grid[k], grid[k + 1]), tol=1e-6))
+    return location, gap_at(location)
+
+
+@st.composite
+def crossing_devices(draw):
+    """A 2- or 3-qutrit device, its exchange pair, and a bracket around the crossing.
+
+    Atom 1's e level is swept through the sum of the other atoms' e levels,
+    where 0,e,g(,g) meets 0,g,e(,e). The i levels and the cavity sit at
+    least 0.1 away from that energy, so no third level enters the window.
+    """
+    n_atoms = draw(st.integers(2, 3))
+    targets = [draw(st.floats(0.45, 0.6)) for _ in range(n_atoms - 1)]
+    match = sum(targets)
+    atoms = [AtomSpec("1", match, match + draw(st.floats(0.4, 0.6)))]
+    for k, omega_e in enumerate(targets):
+        atoms.append(AtomSpec(str(k + 2), omega_e, match + draw(st.floats(0.1, 0.3))))
+    edges = [
+        CouplingEdge(
+            a.label, "c", g_ge=draw(st.floats(0.01, 0.03)), g_gi=draw(st.floats(0.01, 0.03)),
+            g_ei=draw(st.floats(0.01, 0.03)),
+        )
+        for a in atoms
+    ]
+    cavity = CavitySpec("c", match + draw(st.sampled_from((-1, 1))) * draw(st.floats(0.2, 0.3)),
+                        n_max=3)
+    dev = DeviceSpec((cavity,), tuple(atoms), tuple(edges), unit_omega0=True)
+    space = build_space(dev)
+    initial = parse_state_label(dev, space, "0,e" + ",g" * (n_atoms - 1)).index
+    final = parse_state_label(dev, space, "0,g" + ",e" * (n_atoms - 1)).index
+    h = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
+    _, vecs = np.linalg.eigh(h)
+    weight = vecs[initial] ** 2 + vecs[final] ** 2
+    levels = tuple(sorted(int(k) for k in np.argsort(weight)[-2:]))
+    return dev, levels, (match - 0.02, match + 0.02)
+
+
+class TestRootSearchAgainstGolden:
+    @settings(deadline=None, max_examples=25)
+    @given(crossing_devices())
+    def test_location_and_gap_match_golden_section(self, case):
+        dev, levels, bracket = case
+        ref = golden_reference(dev, "atoms.1.omega_e", bracket, levels)
+        if ref is None:
+            reject()
+        rep = find_resonance(dev, "atoms.1.omega_e", bracket, levels)
+        assert rep.location == pytest.approx(ref[0], rel=1e-6)
+        assert rep.gap <= ref[1] * (1 + 1e-9)
+
+    def test_solve_count_after_the_scan(self, monkeypatch):
+        # a golden-section search on full spectra needs about 40 solves here
+        calls = []
+        solve = diagonalize
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("levels"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr("cycqed.spectral.diagonalize", counted)
+        rep = find_resonance(
+            make_crossing_sweep_device(), "atoms.1.omega_e", (1.02, 1.07), (6, 7)
+        )
+        assert rep.location == pytest.approx(CROSSING_LOCATION, abs=5e-5)
+        assert len(calls) <= COARSE_POINTS + 12
+        assert set(calls) == {(6, 7)}
 
 
 class TestBranchShape:
