@@ -26,6 +26,7 @@ from .hilbert import (
     SubsystemDef,
     build_space as _build_space,
 )
+from .symmetry import Sectors, build_sectors
 
 TWO_PI = 2.0 * math.pi
 
@@ -353,34 +354,72 @@ def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A device's space and interaction, assembled once for many H(x).
+    """A device's space, interaction and symmetry blocks, assembled once for many H(x).
 
     ``at(path, x)`` equals ``build_bare_hamiltonian + build_interaction_rwa``
     of ``with_parameter(dev, path, x)`` bit for bit: a frequency field moves
     only the diagonal, which the interaction leaves zero, and a coupling
     field rebuilds the interaction. Every field enters H affinely.
+    ``sectors`` are the blocks of the device's class of identical atoms, or
+    the one block W = 1 without one; ``reduced`` holds the interaction's.
     """
 
     dev: DeviceSpec
     space: CompositeSpace = field(init=False)
     interaction: np.ndarray = field(init=False, repr=False)
+    sectors: Sectors = field(init=False, repr=False)
+    reduced: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         space = build_space(self.dev)
+        interaction = build_interaction_rwa(self.dev, space)
+        sectors = build_sectors(self.dev, space) or Sectors.whole(space.total_dim)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "interaction", build_interaction_rwa(self.dev, space))
+        object.__setattr__(self, "interaction", interaction)
+        object.__setattr__(self, "sectors", sectors)
+        reduced = tuple(sectors.project(interaction)) if sectors.labels else ()
+        object.__setattr__(self, "reduced", reduced)
+
+    def _point(self, path: str, x: float) -> DeviceSpec:
+        if path.endswith(".n_max") and x != get_parameter(self.dev, path):
+            raise ValueError("sweep parameter changes the space dimension")
+        return with_parameter(self.dev, path, x)
 
     def at(self, path: str, x: float) -> np.ndarray:
         """The device Hamiltonian with the field at ``path`` set to ``x``."""
-        if path.endswith(".n_max") and x != get_parameter(self.dev, path):
-            raise ValueError("sweep parameter changes the space dimension")
-        point = with_parameter(self.dev, path, x)
+        point = self._point(path, x)
         if path.startswith("edges."):
             h = build_interaction_rwa(point, self.space)
         else:
             h = self.interaction.copy()
         np.fill_diagonal(h, bare_energy_vector(point, self.space))
         return h
+
+    def sectors_for(self, path: str) -> Sectors:
+        """``sectors``, or the one block W = 1 when ``path`` is on a class atom or its edge."""
+        group, k, _ = _resolve_path(self.dev, path)
+        atom = {"atoms": "label", "edges": "atom"}.get(group)
+        if atom and getattr(getattr(self.dev, group)[k], atom) in self.sectors.labels:
+            return Sectors.whole(self.space.total_dim)
+        return self.sectors
+
+    def blocks(self, path: str, x: float) -> list[np.ndarray]:
+        """The blocks W_{λ,1}ᵀ H(x) W_{λ,1} of ``sectors_for(path)``, in its order.
+
+        For the one block W = 1 this is ``[at(path, x)]``; otherwise no d × d
+        copy is made, and only a coupling field rebuilds the interaction.
+        """
+        if not self.sectors_for(path).labels:
+            return [self.at(path, x)]
+        point = self._point(path, x)
+        if path.startswith("edges."):
+            blocks = self.sectors.project(build_interaction_rwa(point, self.space))
+        else:
+            blocks = [b.copy() for b in self.reduced]
+        energy = bare_energy_vector(point, self.space)
+        for h, rows in zip(blocks, self.sectors.anchors):
+            np.fill_diagonal(h, energy[rows])
+        return blocks
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,7 @@ the initial state unchanged under permutation, ρ(t) stays block diagonal in
 the isotypic sectors of S_2 or S_3, ρ = ⊕_λ ρ_λ ⊗ 1_{d_λ}, and ``split``
 evolves only the blocks ρ_λ: one zgemm pair per block and two sparse
 products with the reduced dissipator per step. Every sample is lifted back
-to the full space. Permutational invariance under local dissipation is
-standard for identical emitters (Shammah et al., PRA 98, 063815 (2018);
-Gegg and Richter, NJP 18, 043037 (2016)).
+to the full space. The ``symmetry`` module builds the blocks.
 
 ``rk45`` is scipy's adaptive Dormand-Prince 5(4) on the vectorized
 density matrix, kept as an independent reference for the split engine.
@@ -37,13 +35,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .device import DeviceSpec, build_bare_hamiltonian, build_interaction_rwa, build_space
 from .hilbert import BareState, CompositeSpace
+from .symmetry import build_sectors
 
 TRACE_TOL = 1e-6
 HERMITICITY_RTOL = 1e-9
@@ -340,169 +339,6 @@ class TrajectoryResult:
         return out
 
 
-# -- permutation-symmetry sectors ---------------------------------------------
-
-INVARIANCE_TOL = 1e-14
-
-
-def _identical_atoms(dev: DeviceSpec) -> tuple[str, ...]:
-    """Labels of the device's one class of 2 or 3 identical atoms, else ().
-
-    Two atoms are identical when every ``AtomSpec`` field but the label is
-    equal and they have equal edges to the same cavities. No class, several
-    classes or a larger one give ().
-    """
-    classes: dict = {}
-    for atom in dev.atoms:
-        spec = tuple(getattr(atom, f.name) for f in fields(atom) if f.name != "label")
-        edges = frozenset(
-            tuple(getattr(e, f.name) for f in fields(e) if f.name != "atom")
-            for e in dev.edges
-            if e.atom == atom.label
-        )
-        classes.setdefault((spec, edges), []).append(atom.label)
-    found = [labels for labels in classes.values() if len(labels) > 1]
-    if len(found) != 1 or len(found[0]) > 3:
-        return ()
-    return tuple(found[0])
-
-
-def _irreps(group: list[np.ndarray]) -> list[np.ndarray]:
-    """Real orthogonal irreps of S_2 or S_3, each as the stack of D_λ(g) over the group.
-
-    The group elements are slot permutation matrices. The irreps are the
-    trivial one, then (for S_3) the two-dimensional standard irrep on the
-    plane orthogonal to (1, 1, 1), then the sign.
-    """
-    stacks = [np.ones((len(group), 1, 1))]
-    if len(group[0]) == 3:
-        plane = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]])
-        plane /= np.linalg.norm(plane, axis=0)
-        stacks.append(np.array([plane.T @ m @ plane for m in group]))
-    stacks.append(np.array([round(np.linalg.det(m)) for m in group], dtype=float).reshape(-1, 1, 1))
-    return stacks
-
-
-def _transfer(reps: np.ndarray, actions: list[np.ndarray], a: int) -> np.ndarray:
-    """P_λ^{a1} = (d_λ/|G|) Σ_g D_λ(g)_{a1} P(g) on the local configurations."""
-    size = len(actions[0])
-    op = np.zeros((size, size))
-    for rep, action in zip(reps, actions):
-        op[action, np.arange(size)] += reps.shape[1] / len(reps) * rep[a, 0]
-    return op
-
-
-@dataclass(frozen=True)
-class _Sectors:
-    """Isotypic blocks of the states invariant under permuting identical atoms.
-
-    ``sizes`` are the block dimensions m_λ. On row-major vecs, ``reduce``
-    maps ρ to the stacked vec(ρ_λ) with ρ_λ = W_{λ,1}ᵀ ρ W_{λ,1}, and
-    ``lift`` maps back with ρ = Σ_λ Σ_a W_{λ,a} ρ_λ W_{λ,a}ᵀ.
-    """
-
-    sizes: tuple[int, ...]
-    reduce: sparse.csr_matrix
-    lift: sparse.csr_matrix
-
-    def superoperator(self, op: sparse.csr_matrix) -> sparse.csr_matrix:
-        """The block form reduce · op · lift of a superoperator that commutes with the group.
-
-        Entries that vanish exactly come out of the sparse products as
-        cancellation residue near 1e-17 of the largest entry; they are dropped.
-        """
-        out = (self.reduce @ op @ self.lift).tocsr()
-        out.data[np.abs(out.data) < 1e-12 * np.abs(out.data).max()] = 0.0
-        out.eliminate_zeros()
-        return out
-
-
-def _symmetry_sectors(dev: DeviceSpec, space: CompositeSpace, rho0: np.ndarray) -> _Sectors | None:
-    """Sector maps when a class of identical atoms leaves ρ0 invariant, else None.
-
-    The group permutes the class atoms' occupations, so it acts on the
-    n^k local configurations of the class and leaves every other subsystem
-    alone. The copies W_{λ,a} come from the transfer operators
-    P_λ^{ab} = (d_λ/|G|) Σ_g D_λ(g)_{ab} P(g): W_{λ,1} is an orthonormal basis
-    of the range of P_λ^{11}, taken one orbit of configurations at a time,
-    and W_{λ,a} = P_λ^{a1} W_{λ,1}. Every column lives on one orbit, with at
-    most |G| nonzero entries.
-    """
-    labels = _identical_atoms(dev)
-    if not labels:
-        return None
-    slots = len(labels)
-    positions = [space.position(label) for label in labels]
-    n = space.dims[positions[0]]
-    configs = np.array(list(itertools.product(range(n), repeat=slots)))
-    radix = n ** np.arange(slots - 1, -1, -1)
-    group = [np.eye(slots, dtype=int)[list(p)] for p in itertools.permutations(range(slots))]
-    # local action of each group element: configuration c goes to m c
-    actions = [configs @ m.T @ radix for m in group]
-
-    occ = space.occupation_arrays()
-    offsets = configs @ np.array([space.strides[p] for p in positions])
-    # index of each basis state's class configuration among ``configs``
-    local = sum(occ[p] * r for p, r in zip(positions, radix))
-    # index of the same state with every class atom in its ground level
-    base = np.arange(space.total_dim) - offsets[local]
-    # adjacent transpositions generate the group; each is its own inverse
-    for action in actions[1:slots]:
-        perm = base + offsets[action[local]]
-        if np.abs(rho0[np.ix_(perm, perm)] - rho0).max() > INVARIANCE_TOL:
-            return None
-
-    orbits: dict = {}
-    for c, config in enumerate(configs):
-        orbits.setdefault(tuple(sorted(config)), []).append(c)
-    bases = np.flatnonzero(local == 0)
-    sizes, reduce, lift = [], [], []
-    for reps in _irreps(group):
-        projector = _transfer(reps, actions, 0)
-        first = []
-        for orbit in orbits.values():
-            values, vectors = np.linalg.eigh(projector[np.ix_(orbit, orbit)])
-            for vector in vectors[:, values > 0.5].T:
-                column = np.zeros(len(configs))
-                column[orbit] = vector
-                first.append(column)
-        if not first:
-            continue
-        local_w = np.array(first).T
-        copies = [
-            _embed_copy(_transfer(reps, actions, a) @ local_w, bases, offsets, space.total_dim)
-            for a in range(reps.shape[1])
-        ]
-        sizes.append(copies[0].shape[1])
-        reduce.append(sparse.kron(copies[0].T, copies[0].T))
-        lift.append(sum(sparse.kron(w, w) for w in copies))
-    return _Sectors(
-        tuple(sizes),
-        sparse.vstack(reduce, format="csr"),
-        sparse.hstack(lift, format="csr"),
-    )
-
-
-def _embed_copy(local_w, bases, offsets, dim) -> sparse.csr_matrix:
-    """A copy W_{λ,a} on the full space from its columns on the class configurations.
-
-    Every local column repeats once for each state of the other subsystems
-    (``bases``, each with the class atoms in their ground level).
-    """
-    rows, cols = np.nonzero(local_w)
-    m = local_w.shape[1]
-    return sparse.csr_matrix(
-        (
-            np.tile(local_w[rows, cols], len(bases)),
-            (
-                (bases[:, None] + offsets[rows]).ravel(),
-                (np.arange(len(bases))[:, None] * m + cols).ravel(),
-            ),
-        ),
-        shape=(dim, len(bases) * m),
-    )
-
-
 # -- engines ------------------------------------------------------------------
 
 # Heun's kick scales the fastest decay mode by 1 − x + x²/2 with x = h·R_max,
@@ -670,13 +506,14 @@ def _integrate(
                 min_eig = min(min_eig, _min_eigenvalue([rho]))
         return steps, herm_worst, min_eig, ()
 
-    sectors = _symmetry_sectors(dev, space, rho0)
+    sectors = build_sectors(dev, space)
+    if sectors is not None and not sectors.invariant(rho0):
+        sectors = None
     if sectors is None:
         sizes, flat, h_flat = (dim,), rho0.ravel().copy(), h_matrix.ravel()
     else:
-        sizes, flat, h_flat = (
-            sectors.sizes, sectors.reduce @ rho0.ravel(), sectors.reduce @ h_matrix.ravel()
-        )
+        reduce, lift = sectors.vec_maps
+        sizes, flat, h_flat = sectors.sizes, reduce @ rho0.ravel(), reduce @ h_matrix.ravel()
         if dissipator is not None:
             dissipator = sectors.superoperator(dissipator)
     stepper = _SplitStepper(h_flat, sizes, dissipator)
@@ -689,7 +526,7 @@ def _integrate(
         if sectors is None:
             rho = flat.reshape(dim, dim)
         else:
-            rho = (sectors.lift @ flat).reshape(dim, dim)
+            rho = (lift @ flat).reshape(dim, dim)
         on_sample(k, rho)
         if k in checkpoints:
             min_eig = min(min_eig, _min_eigenvalue(stepper.blocks(flat)))

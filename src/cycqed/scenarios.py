@@ -21,6 +21,7 @@ from .device import (
     DeviceSpec,
     Model,
     build_space,
+    get_parameter,
     parse_state_label,
     with_parameter,
 )
@@ -32,7 +33,7 @@ from .dynamics import (
     standard_observables,
 )
 from .perturbation import effective_coupling, matched_control_frequency
-from .spectral import CrossingReport, diagonalize, find_resonance
+from .spectral import CrossingReport, dressed_pair, find_resonance
 
 SCENARIO_NAMES = (
     "fig2_spectrum",
@@ -232,12 +233,41 @@ def load_scenario(name: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:  # bundled files are validated by tests
         raise ConfigError(f"scenario {name}: line {exc.lineno}: {exc.msg}") from exc
-    return from_obj(Scenario, obj, f"scenario {name}")
+    return _checked(from_obj(Scenario, obj, f"scenario {name}"), f"scenario {name}")
 
 
 def load_scenario_file(path) -> Scenario:
     """Load a scenario from an external file path."""
-    return from_obj(Scenario, read_json(path), str(path))
+    return _checked(from_obj(Scenario, read_json(path), str(path)), str(path))
+
+
+def _checked(scenario: Scenario, where: str) -> Scenario:
+    """The scenario, once its plan fits its device; ConfigError otherwise.
+
+    An evolve plan's state labels must parse. A sweep plan's parameter must
+    be set on the device, its start must lie below its stop, and its levels
+    must be two different indices below the dimension.
+    """
+    dev, plan = scenario.device, scenario.plan
+    space = build_space(dev)
+    try:
+        if isinstance(plan, EvolvePlan):
+            for label in (plan.initial, plan.final):
+                parse_state_label(dev, space, label)
+        else:
+            get_parameter(dev, plan.parameter)
+            if not plan.start < plan.stop:
+                raise ValueError(f"start {plan.start!r} must lie below stop {plan.stop!r}")
+            if plan.levels[0] == plan.levels[1]:
+                raise ValueError(f"levels must differ, got {plan.levels[0]} twice")
+            for level in plan.levels:
+                if not 0 <= level < space.total_dim:
+                    raise ValueError(
+                        f"level index {level} out of range for dimension {space.total_dim}"
+                    )
+    except ValueError as exc:
+        raise ConfigError(f"{where}.plan: {exc}") from exc
+    return scenario
 
 
 # -- running ------------------------------------------------------------------
@@ -249,19 +279,17 @@ def locate_crossing(dev: DeviceSpec, initial: str, final: str) -> CrossingReport
     identifies the dressed pair by eigenvector overlap with the two bare
     states there, then refines the gap minimum over a bracket of
     ``CROSSING_HALFWIDTH`` (config units) on either side of that frequency.
+    Both steps use one assembled model, and its symmetry blocks when the
+    device has a class of identical atoms.
     """
     control = dev.atoms[0].label
     parameter = f"atoms.{control}.omega_e"
     matched = matched_control_frequency(dev)
     model = Model(dev)
-    bare_i = parse_state_label(dev, model.space, initial)
-    bare_f = parse_state_label(dev, model.space, final)
-    _, vectors = diagonalize(model.at(parameter, matched))
-    weight = np.abs(vectors[bare_i.index, :]) ** 2 + np.abs(vectors[bare_f.index, :]) ** 2
-    pair = tuple(sorted(int(k) for k in np.argsort(weight)[-2:]))
-    del model, vectors  # the search below allocates its own d x d arrays
+    states = [parse_state_label(dev, model.space, label).index for label in (initial, final)]
+    pair = dressed_pair(model, parameter, matched, states)
     return find_resonance(
-        dev, parameter, (matched - CROSSING_HALFWIDTH, matched + CROSSING_HALFWIDTH), pair
+        model, parameter, (matched - CROSSING_HALFWIDTH, matched + CROSSING_HALFWIDTH), pair
     )
 
 

@@ -580,6 +580,44 @@ class TestCheck:
         assert "scenario fig2_spectrum: PASS" in out
         assert "passed 1/2 scenarios" in out
 
+    @staticmethod
+    def fig2_variant(tmp_path, **plan):
+        """The bundled fig2 scenario with some plan fields changed."""
+        obj = json.loads(scenario_text("fig2_spectrum"))
+        obj["plan"].update(plan)
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    def plan_misfit(self, path, capsys) -> str:
+        code, out, err = run_cli(
+            ["check", "--only", "fig2_spectrum", "--scenario-file", path], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot load scenario {path}: ") and err.count("\n") == 1
+        return err
+
+    def test_invalid_initial_level_is_usage_error(self, tmp_path, capsys):
+        err = self.plan_misfit(self.three_atom_variant(tmp_path, initial="0,x,g,g"), capsys)
+        assert "level 'x' invalid for atom '1'" in err
+
+    def test_unknown_sweep_atom_is_usage_error(self, tmp_path, capsys):
+        err = self.plan_misfit(self.fig2_variant(tmp_path, parameter="atoms.9.omega_e"), capsys)
+        assert "no atom labeled '9'" in err
+
+    def test_sweep_level_past_dimension_is_usage_error(self, tmp_path, capsys):
+        err = self.plan_misfit(self.fig2_variant(tmp_path, levels=[6, 900]), capsys)
+        assert "level index 900 out of range for dimension 162" in err
+
+    def test_swapped_sweep_range_is_usage_error(self, tmp_path, capsys):
+        err = self.plan_misfit(self.fig2_variant(tmp_path, start=1.07, stop=1.02), capsys)
+        assert "start 1.07 must lie below stop 1.02" in err
+
+    def test_equal_sweep_levels_are_usage_error(self, tmp_path, capsys):
+        err = self.plan_misfit(self.fig2_variant(tmp_path, levels=[6, 6]), capsys)
+        assert "levels must differ, got 6 twice" in err
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_is_usage_error(self, threads, capsys):
         code, out, err = run_cli(["check", "--only", "fig2_spectrum", "--threads", threads], capsys)

@@ -502,7 +502,7 @@ class TestSymmetrySectors:
         blocks = run_split()
         with pytest.MonkeyPatch.context() as mp:
             # no public knob selects the path; the detector is forced to decline
-            mp.setattr(dynamics, "_symmetry_sectors", lambda *args: None)
+            mp.setattr(dynamics, "build_sectors", lambda *args: None)
             full = run_split()
         assert blocks.sectors and max(blocks.sectors) < space.total_dim
         assert full.sectors == ()
