@@ -23,7 +23,6 @@ from .spectral import CrossingReport, SpectrumResult, find_resonance, sweep_spec
 from .perturbation import EffectiveCoupling, PerturbationError, closed_form_chi, effective_coupling
 from .dynamics import (
     DensityMatrix,
-    IntegrationError,
     Observable,
     ObservableSet,
     TrajectoryResult,
@@ -54,7 +53,6 @@ __all__ = [
     "DensityMatrix",
     "DeviceSpec",
     "EffectiveCoupling",
-    "IntegrationError",
     "MetricSpec",
     "Observable",
     "ObservableSet",

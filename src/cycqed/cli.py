@@ -129,16 +129,22 @@ def _load_device(args) -> DeviceSpec:
 def _outdir(args) -> Path:
     raw = getattr(args, "outdir", None) or os.environ.get(OUTDIR_ENV) or "."
     path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use output directory {raw}: {exc}") from exc
     return path
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _state_units(dev: DeviceSpec) -> tuple[str, str]:

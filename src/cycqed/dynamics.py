@@ -16,7 +16,8 @@ dissipator (two sparse products per step). Strang splitting is itself
 second order, and the kick's own error is O((γh)³) with γh ≈ 1e-4, so a
 higher-order kick buys nothing. Exact for dissipation-free evolution at
 any step size; the fixed step is validated by halving (``validate=True``).
-``auto`` resolves to ``split``.
+``auto`` resolves to ``split``. Tests check the engine against ``expm`` of
+the dense Liouvillian, which is exact.
 
 When one class of two or three identical atoms leaves H, the dissipator and
 the initial state unchanged under permutation, ρ(t) stays block diagonal in
@@ -24,11 +25,6 @@ the isotypic sectors of S_2 or S_3, ρ = ⊕_λ ρ_λ ⊗ 1_{d_λ}, and ``split`
 evolves only the blocks ρ_λ: one zgemm pair per block and two sparse
 products with the reduced dissipator per step. Every sample is lifted back
 to the full space. The ``symmetry`` module builds the blocks.
-
-``rk45`` is scipy's adaptive Dormand-Prince 5(4) on the vectorized
-density matrix, kept as an independent reference for the split engine.
-Its explicit steps must resolve the fastest bare phase, which makes it
-slow on every device.
 """
 
 from __future__ import annotations
@@ -49,17 +45,12 @@ HERMITICITY_RTOL = 1e-9
 POSITIVITY_FLOOR = -1e-8
 TRUNCATION_WARN = 1e-4
 PROBABILITY_SLACK = 1e-8
-DEFAULT_RTOL = 1e-8
 MAX_POSITIVITY_CHECKPOINTS = 10
 # fixed-step defaults for the split engine (ns, or 1/omega0 units),
-# chosen against rk45 references and halving studies on the benchmark
-# devices; see the step-halving validation option
+# chosen by halving studies on the benchmark devices; see the
+# step-halving validation option
 DEFAULT_SPLIT_STEP = 1.0
 DEFAULT_SPLIT_STEP_DIMENSIONLESS = 0.5
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive stepping failed or an evolution invariant broke."""
 
 
 @dataclass(frozen=True)
@@ -422,13 +413,7 @@ class _SplitStepper:
 
 
 # Integration methods evolve accepts; auto is split.
-METHODS = ("auto", "rk45", "split")
-
-
-def _resolve_method(method: str) -> str:
-    if method not in METHODS:
-        raise ValueError(f"unknown integration method {method!r}")
-    return "split" if method == "auto" else method
+METHODS = ("auto", "split")
 
 
 def _min_eigenvalue(blocks) -> float:
@@ -459,9 +444,7 @@ class _Reducer:
             self.top_fock[label] = max(self.top_fock[label], float(diag[mask].sum()))
 
 
-def _integrate(
-    dev, space, channels, h_matrix, rho0, times, method, rtol, step, on_sample, checkpoints=()
-):
+def _integrate(dev, space, channels, h_matrix, rho0, times, step, on_sample, checkpoints=()):
     """Core loop shared by the main run and the validation rerun.
 
     Hands every sampled density matrix (a d × d array, Hermitian; to rounding
@@ -475,37 +458,6 @@ def _integrate(
     dissipator = _dissipator(channels, dim)
     herm_worst = 0.0
     min_eig = math.inf
-
-    if method == "rk45":
-        from scipy.integrate import RK45
-
-        # one complex copy up front: a real @ complex product casts on every call
-        h = h_matrix.astype(complex)
-
-        def rhs(_, flat):
-            rho = flat.reshape(dim, dim)
-            out = (-1j * (h @ rho - rho @ h)).ravel()
-            if dissipator is not None:
-                out += dissipator @ flat
-            return out
-
-        solver = RK45(rhs, times[0], rho0.ravel(), times[-1], rtol=rtol, atol=1e-12)
-        steps = 0
-        for k, t_target in enumerate(times):
-            while solver.t < t_target:
-                message = solver.step()
-                steps += 1
-                if solver.status == "failed":
-                    raise IntegrationError(f"rk45 failed at t={solver.t:.6g}: {message}")
-            flat = solver.y if t_target == solver.t else solver.dense_output()(t_target)
-            rho = flat.reshape(dim, dim)
-            herm_worst = max(herm_worst, float(np.abs(rho - rho.conj().T).max()))
-            rho = (rho + rho.conj().T) / 2
-            on_sample(k, rho)
-            if k in checkpoints:
-                min_eig = min(min_eig, _min_eigenvalue([rho]))
-        return steps, herm_worst, min_eig, ()
-
     sectors = build_sectors(dev, space)
     if sectors is not None and not sectors.invariant(rho0):
         sectors = None
@@ -540,7 +492,6 @@ def evolve(
     samples: int = 201,
     obs: ObservableSet | None = None,
     method: str = "auto",
-    rtol: float = DEFAULT_RTOL,
     step: float | None = None,
     validate: bool = False,
     keep_states: bool = False,
@@ -558,26 +509,21 @@ def evolve(
         Number of uniformly spaced sample points including both ends.
     obs : ObservableSet, optional
         Defaults to the per-atom / per-cavity standard set.
-    method : {'auto', 'rk45', 'split'}
-        'auto' is 'split', the split-step engine; 'rk45' is scipy's
-        adaptive Dormand-Prince 5(4), a slower reference that always runs
-        on the full space. 'split' evolves only the permutation-symmetry
-        blocks when the device has one class of two or three identical
-        atoms and the initial state is invariant under permuting them (a
-        bare state with equal levels in the class, or a density matrix
-        within 1e-14 of its permuted copy); ``sectors`` on the result
-        reports the block sizes.
-    rtol : float
-        Local relative tolerance of 'rk45' (absolute tolerance 1e-12);
-        the split engine ignores it.
+    method : {'auto', 'split'}
+        Both name the split-step engine. It evolves only the
+        permutation-symmetry blocks when the device has one class of two
+        or three identical atoms and the initial state is invariant under
+        permuting them (a bare state with equal levels in the class, or a
+        density matrix within 1e-14 of its permuted copy); ``sectors`` on
+        the result reports the block sizes.
     step : float, optional
         Target fixed step of the split engine; must be positive and finite.
         The step length h it yields must also keep h·R_max below 2, where
         R_max is the largest diagonal entry of Σ_c O_c†O_c: past that,
         the dissipator kick diverges, and the run is refused up front.
     validate : bool
-        Rerun at half step (tenth tolerance for rk45) and record the
-        worst observable deviation as ``validation_residual``.
+        Rerun at half step and record the worst observable deviation as
+        ``validation_residual``.
     keep_states : bool
         Retain every sampled DensityMatrix on the result. Otherwise each
         sample is reduced to its observables as it is taken, and only the
@@ -599,7 +545,8 @@ def evolve(
         step = DEFAULT_SPLIT_STEP_DIMENSIONLESS if dev.unit_omega0 else DEFAULT_SPLIT_STEP
     elif not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
-    method = _resolve_method(method)
+    if method not in METHODS:
+        raise ValueError(f"unknown integration method {method!r}")
     if t_final == 0.0:
         times = np.zeros(1)
     else:
@@ -607,7 +554,7 @@ def evolve(
         times = np.arange(samples) * dt
     space = build_space(dev)
     channels = build_collapse_channels(dev, space)
-    if method == "split" and channels and len(times) > 1:
+    if channels and len(times) > 1:
         rate = float(sum(ch.rate_diagonal(space.total_dim) for ch in channels).max())
         h = max(iv / _substeps(iv, step) for iv in np.diff(times))
         if h * rate >= KICK_STABILITY_BOUND:
@@ -640,7 +587,7 @@ def evolve(
             kept.append(rho)
 
     steps, herm_worst, min_eig, sectors = _integrate(
-        dev, space, channels, h_matrix, rho0, times, method, rtol, step, on_sample, check_idx
+        dev, space, channels, h_matrix, rho0, times, step, on_sample, check_idx
     )
     columns, top_fock, trace_worst = reduced.columns, reduced.top_fock, reduced.trace_worst
 
@@ -668,9 +615,8 @@ def evolve(
 
     validation_residual = None
     if validate and t_final > 0.0:
-        finer = (rtol, step / 2) if method == "split" else (rtol / 10, step)
         again = _Reducer(dev, space, obs, len(times))
-        _integrate(dev, space, channels, h_matrix, rho0, times, method, *finer, again)
+        _integrate(dev, space, channels, h_matrix, rho0, times, step / 2, again)
         validation_residual = max(
             (float(np.abs(again.columns[n] - columns[n]).max()) for n in obs.names),
             default=0.0,
@@ -689,7 +635,7 @@ def evolve(
     return TrajectoryResult(
         times=times,
         values=columns,
-        method=method,
+        method="split",
         steps=steps,
         purity=reduced.purity,
         trace_drift=trace_worst,

@@ -489,9 +489,8 @@ def test_criterion_09_property_suite():
             "n_t", matrix=total_excitation_operator(space).astype(complex)
         )
         obs = ObservableSet(base.observables + (n_t,))
-        method = "rk45" if space.total_dim <= 36 else "split"
         traj = evolve(
-            dev, initial, 25.0, samples=26, obs=obs, method=method, step=1.0
+            dev, initial, 25.0, samples=26, obs=obs, method="split", step=1.0
         )
 
         worst["trace"] = max(worst["trace"], traj.trace_drift)
@@ -517,7 +516,7 @@ def test_criterion_09_property_suite():
         )
         obs_d = ObservableSet(base_d.observables + (n_t_d,))
         traj_d = evolve(
-            doubled, initial_d, 25.0, samples=26, obs=obs_d, method=method, step=1.0
+            doubled, initial_d, 25.0, samples=26, obs=obs_d, method="split", step=1.0
         )
         for name in traj.values:
             diff = float(np.max(np.abs(traj.values[name] - traj_d.values[name])))

@@ -35,6 +35,25 @@ def read_csv(path):
     return header, data
 
 
+def unusable_outdir(tmp_path, kind, csv_name):
+    """An --outdir the CLI cannot write csv_name into.
+
+    Either an existing file, or a directory in which csv_name is a directory.
+    """
+    if kind == "file":
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        return taken
+    (tmp_path / csv_name).mkdir()
+    return tmp_path
+
+
+def assert_one_usage_error(code, out, err, start):
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1
+
+
 @pytest.fixture(scope="module")
 def device_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("devices")
@@ -50,6 +69,19 @@ def device_files(tmp_path_factory):
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize(
+        "kind, start",
+        [("file", "cannot use output directory"), ("csv_dir", "cannot write")],
+    )
+    def test_unusable_outdir_is_usage_error(self, device_files, tmp_path, capsys, kind, start):
+        outdir = unusable_outdir(tmp_path, kind, "spectrum.csv")
+        code, out, err = run_cli(
+            ["spectrum", "--device", device_files["fig2"],
+             "--sweep", "atoms.1.omega_e", "--range", "1.0:1.1:3", "--outdir", outdir],
+            capsys,
+        )
+        assert_one_usage_error(code, out, err, start)
+
     def test_sweep_writes_csv_and_crossing(self, device_files, tmp_path, capsys):
         code, out, err = run_cli(
             ["spectrum", "--device", device_files["fig2"],
@@ -343,6 +375,31 @@ class TestCoupling:
 
 
 class TestDynamics:
+    @pytest.mark.parametrize(
+        "kind, start",
+        [("file", "cannot use output directory"), ("csv_dir", "cannot write")],
+    )
+    def test_unusable_outdir_is_usage_error(self, device_files, tmp_path, capsys, kind, start):
+        outdir = unusable_outdir(tmp_path, kind, "dynamics.csv")
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"],
+             "--initial", "0,e,g,g", "--t-final", "0", "--outdir", outdir],
+            capsys,
+        )
+        assert_one_usage_error(code, out, err, start)
+
+    def test_rk45_method_is_usage_error(self, device_files, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"],
+             "--initial", "0,e,g,g", "--t-final", "1", "--method", "rk45",
+             "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'rk45'" in err
+        assert not (tmp_path / "dynamics.csv").exists()
+
     def test_full_run_summary_and_csv(self, device_files, tmp_path, capsys):
         code, out, err = run_cli(
             ["dynamics", "--device", device_files["three"],
@@ -561,6 +618,14 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unknown integration method 'foo'" in err
+
+    def test_rk45_method_is_usage_error(self, tmp_path, capsys):
+        path = self.three_atom_variant(tmp_path, method="rk45")
+        code, out, err = run_cli(
+            ["check", "--only", "fig2_spectrum", "--scenario-file", path], capsys
+        )
+        assert_one_usage_error(code, out, err, f"cannot load scenario {path}: ")
+        assert "unknown integration method 'rk45'; known: auto, split" in err
 
     @pytest.mark.parametrize(
         "plan, reason",

@@ -194,7 +194,7 @@ plans = st.one_of(
         t_final=positive,
         samples=st.integers(2, 500),
         step=st.one_of(st.none(), positive),
-        method=st.sampled_from(("split", "rk45", "auto")),
+        method=st.sampled_from(("split", "auto")),
         retune=st.booleans(),
     ),
     st.builds(

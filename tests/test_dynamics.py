@@ -1,9 +1,9 @@
-"""Open-system dynamics: channels, both integration engines, diagnostics.
+"""Open-system dynamics: channels, the split integration engine, diagnostics.
 
 Anchors are analytic where possible (vacuum Rabi period pi/g, exponential
 decay laws, conservation of trace / purity / energy / total excitation) and
-cross-engine agreement covers everything else: the fixed-step split engine
-must reproduce the adaptive integration on devices small enough for both.
+exact propagation covers everything else: the fixed-step split engine must
+reproduce ``expm`` of the dense Liouvillian on devices small enough for it.
 """
 
 from __future__ import annotations
@@ -365,6 +365,11 @@ def exact_states(dev: DeviceSpec, rho0: np.ndarray, times: np.ndarray) -> list[n
     return [v.reshape(d, d) for v in states]
 
 
+def max_state_deviation(traj: TrajectoryResult, exact: list[np.ndarray]) -> float:
+    """Largest entry error of a trajectory's kept states against exact ones."""
+    return max(float(np.abs(s.entries - e).max()) for s, e in zip(traj.states, exact))
+
+
 # (cavity truncations, atom level counts, dissipative); d from 9 to 18
 ORACLE_STRUCTURES = [
     ((2,), (3,), True),
@@ -375,15 +380,14 @@ ORACLE_STRUCTURES = [
     ((2, 2), (2,), False),
     ((2,), (3,), False),
 ]
-# measured worst deviations over these devices: rk45 1.3e-7, split 1.0e-6
-# with dissipation and 1.1e-14 without
-ORACLE_RK45_BOUND = 5e-7
+# measured worst deviations over these devices: split 1.0e-6 with
+# dissipation and 1.1e-14 without
 ORACLE_SPLIT_BOUND = 5e-6
 ORACLE_CLOSED_SPLIT_BOUND = 1e-12
 
 
 class TestExactOracle:
-    """Both engines at their defaults against the exact propagator."""
+    """The split engine at its default step against the exact propagator."""
 
     @pytest.mark.parametrize("case", range(len(ORACLE_STRUCTURES)))
     def test_engines_within_bound_of_exact_propagation(self, case):
@@ -398,16 +402,11 @@ class TestExactOracle:
         times = np.linspace(0.0, 20.0, 11)
         exact = exact_states(dev, rho0.entries, times)
         dissipative = ORACLE_STRUCTURES[case][2]
-        bounds = {
-            "rk45": ORACLE_RK45_BOUND,
-            "split": ORACLE_SPLIT_BOUND if dissipative else ORACLE_CLOSED_SPLIT_BOUND,
-        }
-        for method, bound in bounds.items():
-            traj = evolve(dev, rho0, times[-1], samples=len(times), method=method,
-                          keep_states=True)
-            np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-12)
-            error = max(float(np.abs(s.entries - e).max()) for s, e in zip(traj.states, exact))
-            assert error <= bound, method
+        bound = ORACLE_SPLIT_BOUND if dissipative else ORACLE_CLOSED_SPLIT_BOUND
+        traj = evolve(dev, rho0, times[-1], samples=len(times), keep_states=True)
+        np.testing.assert_allclose(traj.times, times, rtol=0, atol=1e-12)
+        error = max_state_deviation(traj, exact)
+        assert error <= bound
 
 
     def test_symmetric_device_within_bound_on_its_blocks(self):
@@ -431,7 +430,7 @@ class TestExactOracle:
         traj = evolve(dev, rho0, times[-1], samples=len(times), method="split",
                       keep_states=True)
         assert traj.sectors == (18, 6)
-        error = max(float(np.abs(s.entries - e).max()) for s, e in zip(traj.states, exact))
+        error = max_state_deviation(traj, exact)
         assert error <= ORACLE_SPLIT_BOUND
 
 
@@ -546,12 +545,6 @@ class TestSymmetrySectors:
             rho[index, index] = 0.5
         assert evolve(dev, DensityMatrix(space, rho), 2.0, samples=3).sectors == sectors
 
-    def test_rk45_takes_full_path(self):
-        dev = make_three_atom_device(n_max=2)
-        initial = bare_state(dev, build_space(dev), (0,), ("e", "g", "g"))
-        traj = evolve(dev, initial, 1.0, samples=3, method="rk45")
-        assert traj.method == "rk45" and traj.sectors == ()
-
 
 def lindblad_rhs(rho: DensityMatrix | np.ndarray, h: np.ndarray, dev: DeviceSpec) -> np.ndarray:
     """Right-hand side of the master equation from the engine's superoperator."""
@@ -625,11 +618,11 @@ class TestVacuumRabi:
         dev = jc_device()
         space = build_space(dev)
         excited = bare_state(dev, space, (0,), ("e",))
-        traj = evolve(dev, excited, 12.0, samples=241, method="rk45")
+        traj = evolve(dev, excited, 12.0, samples=241)
         g = dev.rate_to_angular(100.0)
         expected = np.cos(g * traj.times) ** 2
         assert np.abs(traj.column("p_e_q") - expected).max() < 1e-6
-        assert traj.method == "rk45"
+        assert traj.method == "split"
 
     def test_split_engine_is_exact_without_dissipation(self):
         dev = jc_device()
@@ -677,7 +670,7 @@ class TestDecayLaws:
         dev = decay_cavity_device(kappa=0.04)
         space = build_space(dev)
         start = bare_state(dev, space, (2,), ("g",))
-        traj = evolve(dev, start, 40.0, samples=81, method="rk45")
+        traj = evolve(dev, start, 40.0, samples=81, method="split", step=0.02)
         expected = 2.0 * np.exp(-0.04 * traj.times)
         assert np.abs(traj.column("n_c") - expected).max() < 1e-6
         assert traj.trace_drift < 1e-9
@@ -686,7 +679,7 @@ class TestDecayLaws:
         dev = decay_qutrit_device()
         space = build_space(dev)
         start = bare_state(dev, space, (0,), ("i",))
-        traj = evolve(dev, start, 30.0, samples=61, method="rk45")
+        traj = evolve(dev, start, 30.0, samples=61, method="split", step=0.02)
         gamma_i = 0.03 + 0.05
         p_i = np.exp(-gamma_i * traj.times)
         p_e = 0.05 / (gamma_i - 0.02) * (
@@ -699,9 +692,10 @@ class TestDecayLaws:
         dev = jc_device(kappa=1.0, gamma=0.5)
         space = build_space(dev)
         excited = bare_state(dev, space, (0,), ("e",))
-        adaptive = evolve(dev, excited, 15.0, samples=151, method="rk45")
-        fixed = evolve(dev, excited, 15.0, samples=151, method="split", step=0.5)
-        assert max_column_deviation(adaptive, fixed) < 5e-6
+        fixed = evolve(dev, excited, 15.0, samples=151, method="split", step=0.5,
+                       keep_states=True)
+        exact = exact_states(dev, DensityMatrix.pure(space, excited.index).entries, fixed.times)
+        assert max_state_deviation(fixed, exact) < 5e-6
 
     def test_dissipative_trajectory_diagnostics(self):
         dev = jc_device(kappa=1.0, gamma=0.5)
@@ -778,20 +772,20 @@ class TestVirtualSwap:
         obs = ObservableSet(
             (Observable("n_t", matrix=n_t), Observable("energy", matrix=h))
         )
-        for method, step in (("rk45", None), ("split", 0.5)):
-            traj = evolve(dev, initial, 120.0, samples=121, obs=obs, method=method, step=step)
-            assert np.abs(traj.column("n_t") - 1.0).max() < 1e-8, method
-            energy = traj.column("energy")
-            assert np.abs(energy - energy[0]).max() < 1e-8, method
+        traj = evolve(dev, initial, 120.0, samples=121, obs=obs, method="split", step=0.5)
+        assert np.abs(traj.column("n_t") - 1.0).max() < 1e-8
+        energy = traj.column("energy")
+        assert np.abs(energy - energy[0]).max() < 1e-8
 
     def test_engines_agree(self):
         dev = swap_device()
         space, initial, final, obs = transfer_observables(
             dev, ((0,), ("e", "g")), ((0,), ("g", "e"))
         )
-        adaptive = evolve(dev, initial, 120.0, samples=61, obs=obs, method="rk45")
-        fixed = evolve(dev, initial, 120.0, samples=61, obs=obs, method="split", step=0.5)
-        assert max_column_deviation(adaptive, fixed) < 5e-6
+        fixed = evolve(dev, initial, 120.0, samples=61, obs=obs, method="split", step=0.5,
+                       keep_states=True)
+        exact = exact_states(dev, DensityMatrix.pure(space, initial.index).entries, fixed.times)
+        assert max_state_deviation(fixed, exact) < 5e-6
 
 
 class TestEvolvePlumbing:
@@ -837,8 +831,6 @@ class TestEvolvePlumbing:
         traj = evolve(dev, initial, 10.0, samples=11, method="split", step=0.8)
         n_c = traj.column("n_c")
         assert np.all(np.isfinite(n_c)) and n_c.max() <= 3.0 and n_c[-1] < n_c[0]
-        # rk45 has no kick, so the bound does not apply to it
-        assert evolve(dev, initial, 0.5, samples=2, method="rk45", step=1.0).method == "rk45"
 
     def test_samples_are_not_kept(self):
         # 301 samples at d = 162 would hold 301 * 162**2 * 16 B = 126 MB
@@ -891,19 +883,6 @@ class TestEvolvePlumbing:
         traj = evolve(dev, bare_state(dev, space, (0,), ("e",)), 1.0, samples=11)
         assert traj.method == "split"
 
-    def test_rk45_failure_raises(self, monkeypatch):
-        import scipy.integrate
-
-        class FailingRK45(scipy.integrate.RK45):
-            def _step_impl(self):
-                return False, "forced failure"
-
-        monkeypatch.setattr(scipy.integrate, "RK45", FailingRK45)
-        dev = jc_device()
-        initial = bare_state(dev, build_space(dev), (0,), ("e",))
-        with pytest.raises(dynamics.IntegrationError, match="forced failure"):
-            evolve(dev, initial, 1.0, samples=3, method="rk45")
-
     def test_auto_routes_large_to_split(self):
         dev = make_three_atom_device(n_max=2)
         space = build_space(dev)
@@ -938,7 +917,7 @@ class TestEvolvePlumbing:
         dev = decay_cavity_device()
         space = build_space(dev)
         top = bare_state(dev, space, (3,), ("g",))
-        traj = evolve(dev, top, 5.0, samples=11, method="rk45")
+        traj = evolve(dev, top, 5.0, samples=11, method="split", step=0.02)
         assert any("truncation" in w and "n_max" in w for w in traj.warnings)
         assert traj.top_fock["c"] == pytest.approx(1.0)
 

@@ -2,8 +2,8 @@
 
 The list sits under "### Public names" in the README's "Python API"
 section. Every name the benchmark reaches as ``cycqed.X`` must be on it.
-Inside the package, no module imports another module's private names, and
-importing the package loads no scipy solver module.
+Inside the package, no module imports another module's private names or
+``scipy.integrate``, and importing the package loads no scipy solver module.
 """
 
 import ast
@@ -46,19 +46,40 @@ def test_benchmark_names_are_public():
     assert used and used <= set(cycqed.__all__)
 
 
-def test_no_module_imports_a_private_name():
-    offenders = []
+def package_nodes():
+    """(file name, node) for every AST node of every package module."""
     for path in sorted((ROOT / "src" / "cycqed").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            within = isinstance(node, ast.ImportFrom) and (
-                node.level > 0 or (node.module or "").split(".")[0] == "cycqed"
-            )
-            if within:
-                offenders += [
-                    f"{path.name}: {alias.name}"
-                    for alias in node.names
-                    if alias.name.startswith("_")
-                ]
+            yield path.name, node
+
+
+def test_no_module_imports_a_private_name():
+    offenders = []
+    for name, node in package_nodes():
+        within = isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "cycqed"
+        )
+        if within:
+            offenders += [
+                f"{name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
+            ]
+    assert offenders == []
+
+
+def test_no_module_imports_scipy_integrate():
+    # split is the one time integrator; a second engine would most likely
+    # come in as a scipy.integrate solver
+    offenders = []
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        offenders += [
+            f"{name}: {m}" for m in modules if (m + ".").startswith("scipy.integrate.")
+        ]
     assert offenders == []
 
 
