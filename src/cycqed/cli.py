@@ -126,14 +126,17 @@ def _load_device(args) -> DeviceSpec:
     return dev
 
 
-def _outdir(args) -> Path:
+def _output(args, name: str) -> Path:
+    """The path of output file ``name``, its directory created; resolved before any work."""
     raw = getattr(args, "outdir", None) or os.environ.get(OUTDIR_ENV) or "."
     path = Path(raw)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot use output directory {raw}: {exc}") from exc
-    return path
+    if (path / name).is_dir():
+        raise UsageError(f"cannot write {path / name}: it is a directory")
+    return path / name
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -175,6 +178,7 @@ def cmd_spectrum(args) -> int:
     dim = build_space(dev).total_dim
     if any(level >= dim for level in levels):
         raise UsageError(f"levels must be below the dimension {dim}, got {args.levels}")
+    out = _output(args, "spectrum.csv")
     values = np.linspace(start, stop, npoints)
     result = sweep_spectrum(dev, args.sweep, values, levels=levels)
     selected = result.selected_energies() if levels else result.energies
@@ -186,7 +190,6 @@ def cmd_spectrum(args) -> int:
             report = find_resonance(dev, args.sweep, (start, stop), levels)
         except ValueError as exc:
             raise ComputationError(f"levels {args.levels}: {exc}") from exc
-    out = _outdir(args) / "spectrum.csv"
     rows = (
         [x] + [dev.angular_to_freq(e) for e in row]
         for x, row in zip(values, selected)
@@ -278,6 +281,7 @@ def cmd_dynamics(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     obs = standard_observables(dev, space, initial, final)
+    out = _output(args, "dynamics.csv")
     try:
         traj = evolve(
             dev,
@@ -291,7 +295,6 @@ def cmd_dynamics(args) -> int:
     except (ValueError, RuntimeError) as exc:
         raise ComputationError(f"evolution failed: {exc}") from exc
     names = list(traj.values)
-    out = _outdir(args) / "dynamics.csv"
     rows = (
         [t] + [traj.values[n][k] for n in names]
         for k, t in enumerate(traj.times)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -232,18 +233,10 @@ class DeviceSpec:
     def edges_of_atom(self, label: str) -> tuple[CouplingEdge, ...]:
         return tuple(e for e in self.edges if e.atom == label)
 
-    def level_energy(self, atom_label: str, level: str) -> float:
-        """Bare energy of an atomic level in rad/ns (ground level is 0)."""
-        atom = self.atom(atom_label)
-        if level == "g":
-            return 0.0
-        if level == "e":
-            return self.freq_to_angular(atom.omega_e)
-        if level == "i":
-            if atom.omega_i is None:
-                raise ValueError(f"atom {atom_label!r} has no i level")
-            return self.freq_to_angular(atom.omega_i)
-        raise ValueError(f"unknown level {level!r}")
+    def level_energies(self, atom: AtomSpec) -> tuple[float, ...]:
+        """Bare energies of an atom's levels in ``LEVEL_NAMES`` order, in rad/ns; g is 0."""
+        upper = (atom.omega_e,) if atom.omega_i is None else (atom.omega_e, atom.omega_i)
+        return (0.0, *(self.freq_to_angular(f) for f in upper))
 
 
 def build_space(dev: DeviceSpec) -> CompositeSpace:
@@ -256,19 +249,24 @@ def build_space(dev: DeviceSpec) -> CompositeSpace:
     return _build_space(defs)
 
 
+def _energy_term(dev: DeviceSpec, spec: AtomSpec | CavitySpec, occ: np.ndarray) -> np.ndarray:
+    """One subsystem's bare energy on every basis state, in the device's units."""
+    if isinstance(spec, CavitySpec):
+        return dev.freq_to_angular(spec.omega_c) * occ
+    return np.array(dev.level_energies(spec))[occ]
+
+
+def _energy_terms(dev: DeviceSpec, space: CompositeSpace) -> tuple[np.ndarray, ...]:
+    """The bare-energy term of every subsystem, in the tensor order."""
+    return tuple(
+        _energy_term(dev, (dev.cavity if sub.kind == "cavity" else dev.atom)(sub.label), occ)
+        for sub, occ in zip(space.subsystems, space.occupation_arrays())
+    )
+
+
 def bare_energy_vector(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
     """Bare energy of every basis state (rad/ns), ordered by basis index."""
-    energy = np.zeros(space.total_dim)
-    occs = space.occupation_arrays()
-    for sub, occ in zip(space.subsystems, occs):
-        if sub.kind == "cavity":
-            energy += dev.freq_to_angular(dev.cavity(sub.label).omega_c) * occ
-        else:
-            per_level = np.array(
-                [dev.level_energy(sub.label, name) for name in ("g", "e", "i")[: sub.dimension]]
-            )
-            energy += per_level[occ]
-    return energy
+    return sum(_energy_terms(dev, space))
 
 
 def bare_state(
@@ -292,7 +290,7 @@ def bare_state(
         if name not in LEVEL_NAMES[: atom.levels]:
             raise ValueError(f"level {name!r} invalid for atom {atom.label!r}")
         occs.append(LEVEL_NAMES.index(name))
-        energy += dev.level_energy(atom.label, name)
+        energy += dev.level_energies(atom)[occs[-1]]
     return BareState.at(space, space.index_of(tuple(occs)), energy)
 
 
@@ -310,15 +308,6 @@ def parse_state_label(dev: DeviceSpec, space: CompositeSpace, text: str) -> Bare
     except ValueError as exc:
         raise ValueError(f"bad photon number in state label {text!r}") from exc
     return bare_state(dev, space, fock, tuple(parts[n_cav:]))
-
-
-def build_bare_hamiltonian(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
-    """Uncoupled Hamiltonian: photon energy plus atomic level energies.
-
-    Diagonal float64 matrix in the bare basis; the eigenvalue on each
-    product state equals that state's bare energy.
-    """
-    return np.diag(bare_energy_vector(dev, space))
 
 
 def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
@@ -354,50 +343,73 @@ def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A device's space, interaction and symmetry blocks, assembled once for many H(x).
+    """A device's space, energies, interaction and symmetry blocks, assembled once for many H(x).
 
-    ``at(path, x)`` equals ``build_bare_hamiltonian + build_interaction_rwa``
-    of ``with_parameter(dev, path, x)`` bit for bit: a frequency field moves
-    only the diagonal, which the interaction leaves zero, and a coupling
-    field rebuilds the interaction. Every field enters H affinely.
-    ``sectors`` are the blocks of the device's class of identical atoms, or
-    the one block W = 1 without one; ``reduced`` holds the interaction's.
+    The space (with its occupation arrays) and each subsystem's bare-energy
+    term are kept; the interaction, the ``sectors`` of the class of identical
+    atoms (W = 1 without one) and the interaction's blocks ``reduced`` are
+    built on first use. ``at(path, x)`` is ``diag(bare_energy_vector) +
+    build_interaction_rwa`` of ``with_parameter(dev, path, x)`` bit for bit,
+    and ``blocks(path, x)`` its projection on ``sectors_for(path)`` with the
+    diagonal read at ``sectors.anchors``. An atom or cavity field re-validates
+    only its spec and recomputes only its energy term, summed in
+    ``bare_energy_vector``'s order; a coupling field rebuilds the interaction;
+    an ``n_max`` that changes the dimension is refused.
     """
 
     dev: DeviceSpec
     space: CompositeSpace = field(init=False)
-    interaction: np.ndarray = field(init=False, repr=False)
-    sectors: Sectors = field(init=False, repr=False)
-    reduced: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    terms: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _paths: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        space = build_space(self.dev)
-        interaction = build_interaction_rwa(self.dev, space)
-        sectors = build_sectors(self.dev, space) or Sectors.whole(space.total_dim)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "interaction", interaction)
-        object.__setattr__(self, "sectors", sectors)
-        reduced = tuple(sectors.project(interaction)) if sectors.labels else ()
-        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "space", build_space(self.dev))
+        object.__setattr__(self, "terms", _energy_terms(self.dev, self.space))
 
-    def _point(self, path: str, x: float) -> DeviceSpec:
-        if path.endswith(".n_max") and x != get_parameter(self.dev, path):
-            raise ValueError("sweep parameter changes the space dimension")
-        return with_parameter(self.dev, path, x)
+    @cached_property
+    def interaction(self) -> np.ndarray:
+        return build_interaction_rwa(self.dev, self.space)
 
-    def at(self, path: str, x: float) -> np.ndarray:
-        """The device Hamiltonian with the field at ``path`` set to ``x``."""
-        point = self._point(path, x)
-        if path.startswith("edges."):
-            h = build_interaction_rwa(point, self.space)
-        else:
+    @cached_property
+    def sectors(self) -> Sectors:
+        return build_sectors(self.dev, self.space) or Sectors.whole(self.space.total_dim)
+
+    @cached_property
+    def reduced(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.sectors.project(self.interaction)) if self.sectors.labels else ()
+
+    def _where(self, path: str):
+        """``_resolve_path`` of ``path``, kept: a sweep asks it at every point."""
+        if path not in self._paths:
+            self._paths[path] = _resolve_path(self.dev, path)
+        return self._paths[path]
+
+    def _point(self, path: str | None, x: float | None):
+        """E_bare with ``path`` set to ``x``, and the interaction if a coupling field rebuilt it."""
+        terms, interaction = list(self.terms), None
+        group, k, name = self._where(path) if path else (None, None, None)
+        if group == "edges":
+            interaction = build_interaction_rwa(with_parameter(self.dev, path, x), self.space)
+        elif name == "n_max":
+            if x != get_parameter(self.dev, path):
+                raise ValueError("sweep parameter changes the space dimension")
+        elif group:
+            spec = replace(getattr(self.dev, group)[k], **{name: x})
+            at = self.space.position(spec.label)
+            terms[at] = _energy_term(self.dev, spec, self.space.occupation_arrays()[at])
+        return sum(terms), interaction
+
+    def at(self, path: str | None = None, x: float | None = None) -> np.ndarray:
+        """The device Hamiltonian, with the field at ``path`` set to ``x`` when given."""
+        energy, h = self._point(path, x)
+        if h is None:
             h = self.interaction.copy()
-        np.fill_diagonal(h, bare_energy_vector(point, self.space))
+        np.fill_diagonal(h, energy)
         return h
 
     def sectors_for(self, path: str) -> Sectors:
         """``sectors``, or the one block W = 1 when ``path`` is on a class atom or its edge."""
-        group, k, _ = _resolve_path(self.dev, path)
+        group, k, _ = self._where(path)
         atom = {"atoms": "label", "edges": "atom"}.get(group)
         if atom and getattr(getattr(self.dev, group)[k], atom) in self.sectors.labels:
             return Sectors.whole(self.space.total_dim)
@@ -411,12 +423,8 @@ class Model:
         """
         if not self.sectors_for(path).labels:
             return [self.at(path, x)]
-        point = self._point(path, x)
-        if path.startswith("edges."):
-            blocks = self.sectors.project(build_interaction_rwa(point, self.space))
-        else:
-            blocks = [b.copy() for b in self.reduced]
-        energy = bare_energy_vector(point, self.space)
+        energy, fresh = self._point(path, x)
+        blocks = [b.copy() for b in self.reduced] if fresh is None else self.sectors.project(fresh)
         for h, rows in zip(blocks, self.sectors.anchors):
             np.fill_diagonal(h, energy[rows])
         return blocks
@@ -445,11 +453,10 @@ def validate_dispersive(dev: DeviceSpec) -> list[DispersiveRatio]:
     for edge in dev.edges:
         atom = dev.atom(edge.atom)
         omega_c = dev.freq_to_angular(dev.cavity(edge.cavity).omega_c)
-        freqs = {"ge": dev.level_energy(atom.label, "e")}
-        if atom.levels == 3:
-            omega_i = dev.level_energy(atom.label, "i")
-            freqs["gi"] = omega_i
-            freqs["ei"] = omega_i - freqs["ge"]
+        _, omega_e, *upper = dev.level_energies(atom)
+        freqs = {"ge": omega_e}
+        for omega_i in upper:
+            freqs.update(gi=omega_i, ei=omega_i - omega_e)
         for transition, omega_t in freqs.items():
             g = dev.rate_to_angular(edge.g(transition))
             delta = abs(omega_t - omega_c)

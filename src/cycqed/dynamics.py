@@ -36,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .device import DeviceSpec, build_bare_hamiltonian, build_interaction_rwa, build_space
+from .device import DeviceSpec, Model
 from .hilbert import BareState, CompositeSpace
-from .symmetry import build_sectors
 
 TRACE_TOL = 1e-6
 HERMITICITY_RTOL = 1e-9
@@ -184,14 +183,11 @@ def standard_observables(
             for label in group:
                 weights = weights * (occ[space.position(label)] == 1)
             obs.append(Observable("corr_" + "_".join(group), weights=weights, bounded=True))
-    if initial is not None:
-        w = np.zeros(space.total_dim)
-        w[initial.index] = 1.0
-        obs.append(Observable("p_initial", weights=w, bounded=True))
-    if final is not None:
-        w = np.zeros(space.total_dim)
-        w[final.index] = 1.0
-        obs.append(Observable("p_final", weights=w, bounded=True))
+    for name, state in (("p_initial", initial), ("p_final", final)):
+        if state is not None:
+            w = np.zeros(space.total_dim)
+            w[state.index] = 1.0
+            obs.append(Observable(name, weights=w, bounded=True))
     if initial is not None and final is not None:
         obs.append(Observable("coherence", element=(initial.index, final.index), bounded=True))
     return ObservableSet(tuple(obs))
@@ -416,35 +412,35 @@ class _SplitStepper:
 METHODS = ("auto", "split")
 
 
-def _min_eigenvalue(blocks) -> float:
-    return min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
-
-
 class _Reducer:
-    """Per-sample reductions of ρ: observable columns, purity, trace drift and top-Fock weight."""
+    """Per-sample reductions of ρ: observable columns, purity, trace and top-Fock weight.
+
+    Every ``weights`` observable, every cavity's top-Fock mask and the trace
+    are rows of one matrix, read with one product by diag(ρ).real per sample
+    into ``table``; element and matrix observables evaluate on their own.
+    """
 
     def __init__(self, dev: DeviceSpec, space: CompositeSpace, obs: ObservableSet, count: int):
-        self.obs = obs
-        self.columns = {name: np.empty(count) for name in obs.names}
-        self.purity = np.empty(count)
-        self.trace_worst = 0.0
         occ = space.occupation_arrays()
-        self.top_masks = {
-            cav.label: occ[space.position(cav.label)] == cav.n_max for cav in dev.cavities
-        }
-        self.top_fock = {label: 0.0 for label in self.top_masks}
+        diagonal = [o for o in obs.observables if o.weights is not None]
+        self.others = [o for o in obs.observables if o.weights is None]
+        tops = [occ[space.position(cav.label)] == cav.n_max for cav in dev.cavities]
+        rows = [o.weights for o in diagonal] + tops + [np.ones(space.total_dim)]
+        self.weights = np.array(rows, dtype=float)
+        self.table = np.empty((len(rows), count))
+        named = dict(zip((o.name for o in diagonal), self.table))
+        self.columns = {name: named.get(name, np.empty(count)) for name in obs.names}
+        self.tops = dict(zip((cav.label for cav in dev.cavities), self.table[len(diagonal) : -1]))
+        self.purity = np.empty(count)
 
     def __call__(self, k: int, rho: np.ndarray) -> None:
-        for name, v in zip(self.obs.names, self.obs.evaluate(rho)):
-            self.columns[name][k] = v
-        self.purity[k] = float(np.linalg.norm(rho, "fro") ** 2)
-        self.trace_worst = max(self.trace_worst, abs(float(np.trace(rho).real) - 1.0))
-        diag = np.real(np.diagonal(rho))
-        for label, mask in self.top_masks.items():
-            self.top_fock[label] = max(self.top_fock[label], float(diag[mask].sum()))
+        self.table[:, k] = self.weights @ rho.diagonal().real
+        for o in self.others:
+            self.columns[o.name][k] = o.evaluate(rho)
+        self.purity[k] = np.vdot(rho, rho).real
 
 
-def _integrate(dev, space, channels, h_matrix, rho0, times, step, on_sample, checkpoints=()):
+def _integrate(model, channels, rho0, times, step, on_sample, checkpoints=()):
     """Core loop shared by the main run and the validation rerun.
 
     Hands every sampled density matrix (a d × d array, Hermitian; to rounding
@@ -454,18 +450,16 @@ def _integrate(dev, space, channels, h_matrix, rho0, times, step, on_sample, che
     the ``checkpoints`` sample indices (inf without any) and the sizes of
     the symmetry blocks evolved (() on the full path).
     """
-    dim = space.total_dim
+    dim = model.space.total_dim
     dissipator = _dissipator(channels, dim)
     herm_worst = 0.0
     min_eig = math.inf
-    sectors = build_sectors(dev, space)
-    if sectors is not None and not sectors.invariant(rho0):
-        sectors = None
-    if sectors is None:
-        sizes, flat, h_flat = (dim,), rho0.ravel().copy(), h_matrix.ravel()
+    sectors, h_flat = model.sectors, model.at().ravel()
+    if not sectors.labels or not sectors.invariant(rho0):
+        sectors, sizes, flat = None, (dim,), rho0.ravel().copy()
     else:
         reduce, lift = sectors.vec_maps
-        sizes, flat, h_flat = sectors.sizes, reduce @ rho0.ravel(), reduce @ h_matrix.ravel()
+        sizes, flat, h_flat = sectors.sizes, reduce @ rho0.ravel(), reduce @ h_flat
         if dissipator is not None:
             dissipator = sectors.superoperator(dissipator)
     stepper = _SplitStepper(h_flat, sizes, dissipator)
@@ -473,15 +467,18 @@ def _integrate(dev, space, channels, h_matrix, rho0, times, step, on_sample, che
         if k:
             flat = stepper.advance(flat, times[k] - times[k - 1], step)
             for block in stepper.blocks(flat):
-                herm_worst = max(herm_worst, float(np.abs(block - block.conj().T).max()))
-                block[...] = (block + block.conj().T) / 2
+                adjoint = block.conj().T
+                herm_worst = max(herm_worst, float(np.abs(block - adjoint).max()))
+                block += adjoint
+                block *= 0.5
         if sectors is None:
             rho = flat.reshape(dim, dim)
         else:
             rho = (lift @ flat).reshape(dim, dim)
         on_sample(k, rho)
         if k in checkpoints:
-            min_eig = min(min_eig, _min_eigenvalue(stepper.blocks(flat)))
+            lowest = (float(np.linalg.eigvalsh(b)[0]) for b in stepper.blocks(flat))
+            min_eig = min(min_eig, *lowest)
     return stepper.steps, herm_worst, min_eig, () if sectors is None else sizes
 
 
@@ -552,7 +549,8 @@ def evolve(
     else:
         dt = t_final / (samples - 1)
         times = np.arange(samples) * dt
-    space = build_space(dev)
+    model = Model(dev)
+    space = model.space
     channels = build_collapse_channels(dev, space)
     if channels and len(times) > 1:
         rate = float(sum(ch.rate_diagonal(space.total_dim) for ch in channels).max())
@@ -563,8 +561,6 @@ def evolve(
                 f"{h * rate:.3g}, at or past the dissipator kick's stability bound "
                 f"{KICK_STABILITY_BOUND:g}; use a step below {KICK_STABILITY_BOUND / rate:.6g}"
             )
-    h_matrix = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
-
     if isinstance(initial, DensityMatrix):
         if initial.space.total_dim != space.total_dim:
             raise ValueError("initial state lives on a different space")
@@ -587,9 +583,10 @@ def evolve(
             kept.append(rho)
 
     steps, herm_worst, min_eig, sectors = _integrate(
-        dev, space, channels, h_matrix, rho0, times, step, on_sample, check_idx
+        model, channels, rho0, times, step, on_sample, check_idx
     )
-    columns, top_fock, trace_worst = reduced.columns, reduced.top_fock, reduced.trace_worst
+    columns, trace_worst = reduced.columns, float(np.abs(reduced.table[-1] - 1.0).max())
+    top_fock = {label: float(row.max()) for label, row in reduced.tops.items()}
 
     warnings: list[str] = []
     for label, pop in top_fock.items():
@@ -616,15 +613,17 @@ def evolve(
     validation_residual = None
     if validate and t_final > 0.0:
         again = _Reducer(dev, space, obs, len(times))
-        _integrate(dev, space, channels, h_matrix, rho0, times, step / 2, again)
+        _integrate(model, channels, rho0, times, step / 2, again)
         validation_residual = max(
             (float(np.abs(again.columns[n] - columns[n]).max()) for n in obs.names),
             default=0.0,
         )
 
+    def peak(prefix: str) -> float | None:
+        named = (float(columns[n].max()) for n in obs.names if n.startswith(prefix))
+        return max(named, default=None)
+
     corr_names = [n for n in obs.names if n.startswith("corr_")]
-    leak_names = [n for n in obs.names if n.startswith("p_i_")]
-    photon_names = [n for n in obs.names if n.startswith("n_")]
     longest_corr = max(corr_names, key=lambda n: n.count("_"), default=None)
     try:
         final_state = DensityMatrix(space, kept[-1])
@@ -647,15 +646,9 @@ def evolve(
         validation_residual=validation_residual,
         final_state=final_state,
         peak_transfer=float(columns[longest_corr].max()) if longest_corr else None,
-        max_leakage=(
-            max(float(columns[n].max()) for n in leak_names) if leak_names else None
-        ),
-        max_photon=(
-            max(float(columns[n].max()) for n in photon_names) if photon_names else None
-        ),
-        states=(
-            tuple(DensityMatrix(space, r) for r in kept) if keep_states else None
-        ),
+        max_leakage=peak("p_i_"),
+        max_photon=peak("n_"),
+        states=tuple(DensityMatrix(space, r) for r in kept) if keep_states else None,
         sectors=sectors,
     )
 

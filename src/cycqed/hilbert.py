@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,12 +104,7 @@ class CompositeSpace:
         """Per-subsystem occupations of a basis index (inverse of index_of)."""
         if not 0 <= index < self.total_dim:
             raise ValueError(f"basis index {index} out of range")
-        occs = [0] * len(self.subsystems)
-        for k in range(len(self.subsystems) - 1, -1, -1):
-            dim = self.subsystems[k].dimension
-            occs[k] = index % dim
-            index //= dim
-        return tuple(occs)
+        return tuple(int(occ[index]) for occ in self.occupation_arrays())
 
     def basis_label(self, index: int) -> str:
         """Readable label like '0,e,g,g' (Fock numbers, then level names)."""
@@ -118,13 +114,18 @@ class CompositeSpace:
         return ",".join(parts)
 
     def occupation_arrays(self) -> tuple[np.ndarray, ...]:
-        """Occupation of every subsystem on the whole basis, one int array each.
+        """Occupation of every subsystem on the whole basis, one read-only int array each.
 
         Entry k of the j-th array is the occupation of subsystem j in basis
-        state k. Handy for building diagonal operators without loops.
+        state k. Built once per space; handy for diagonal operators without loops.
         """
-        index = np.arange(self.total_dim)
-        return tuple((index // stride) % dim for stride, dim in zip(self.strides, self.dims))
+        return self._occupations
+
+    @cached_property
+    def _occupations(self) -> tuple[np.ndarray, ...]:
+        occupations = np.indices(self.dims).reshape(len(self.dims), self.total_dim)
+        occupations.flags.writeable = False
+        return tuple(occupations)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import (
-    DISPERSIVE_THRESHOLD,
-    DeviceSpec,
-    bare_energy_vector,
-    build_interaction_rwa,
-    build_space,
-    with_parameter,
-)
+from .device import DISPERSIVE_THRESHOLD, DeviceSpec, Model, with_parameter
 from .hilbert import BareState, CompositeSpace, LEVEL_NAMES
 
 # Intermediates closer to the initial energy than floor_factor times the
@@ -255,14 +248,13 @@ def effective_coupling(
     -------
     EffectiveCoupling
     """
-    space = build_space(dev)
-    energies = bare_energy_vector(dev, space)
-    hi = build_interaction_rwa(dev, space)
+    model = Model(dev)
     g_max = max(
         dev.rate_to_angular(edge.g(t)) for edge in dev.edges for t in ("ge", "gi", "ei")
     )
     found = enumerate_paths(
-        space, energies, hi, initial, final, order, match_tol=MATCH_FACTOR * g_max
+        model.space, sum(model.terms), model.interaction, initial, final, order,
+        match_tol=MATCH_FACTOR * g_max,
     )
     if strict and found.rejected:
         worst = min(found.rejected, key=lambda r: abs(r.denominator))
@@ -436,22 +428,20 @@ def second_order_shifts(dev: DeviceSpec) -> DispersiveShifts:
     xi: dict[tuple[str, str, str], float] = {}
     flags: list[str] = []
     for atom in dev.atoms:
-        levels = ("g", "e", "i")[: atom.levels]
+        levels = dict(zip(LEVEL_NAMES, dev.level_energies(atom)))
         for level in levels:
             eta.setdefault((atom.label, level), 0.0)
         for edge in dev.edges_of_atom(atom.label):
             omega_s = dev.freq_to_angular(dev.cavity(edge.cavity).omega_c)
-            for level in levels:
-                w_j = dev.level_energy(atom.label, level)
+            for level, w_j in levels.items():
                 stark = 0.0
-                for other in levels:
+                for other, w_k in levels.items():
                     if other == level:
                         continue
                     pair = "".join(sorted((level, other), key=LEVEL_NAMES.index))
                     g = dev.rate_to_angular(edge.g(pair))
                     if g == 0.0:
                         continue
-                    w_k = dev.level_energy(atom.label, other)
                     if w_k < w_j:
                         defect = w_j - w_k - omega_s
                         channel = "emission"

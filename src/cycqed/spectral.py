@@ -373,7 +373,11 @@ def find_resonance(
 
     from scipy.optimize import brentq
 
-    location = float(brentq(slope_difference, grid[k - 1], grid[k + 1], rtol=CROSSING_XTOL))
+    a, b = grid[k - 1], grid[k + 1]
+    if slope_difference(a) * slope_difference(b) > 0:
+        # a third level crosses one of the pair inside: keep the half whose ends differ in sign
+        a, b = (a, grid[k]) if slope_difference(grid[k]) > 0 else (grid[k], b)
+    location = float(brentq(slope_difference, a, b, rtol=CROSSING_XTOL))
     evals, vecs, _ = solved[location]
 
     def branch_content(vectors):

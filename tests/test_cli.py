@@ -14,6 +14,7 @@ from conftest import (
     make_four_atom_device,
     make_three_atom_device,
 )
+from cycqed import cli
 from cycqed.cli import main
 from cycqed.config import save_device
 from cycqed.scenarios import scenario_text
@@ -48,6 +49,10 @@ def unusable_outdir(tmp_path, kind, csv_name):
     return tmp_path
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("the command started its work before checking --outdir")
+
+
 def assert_one_usage_error(code, out, err, start):
     assert code == 2
     assert out == ""
@@ -73,8 +78,11 @@ class TestSpectrum:
         "kind, start",
         [("file", "cannot use output directory"), ("csv_dir", "cannot write")],
     )
-    def test_unusable_outdir_is_usage_error(self, device_files, tmp_path, capsys, kind, start):
+    def test_unusable_outdir_is_usage_error(
+        self, device_files, tmp_path, capsys, monkeypatch, kind, start
+    ):
         outdir = unusable_outdir(tmp_path, kind, "spectrum.csv")
+        monkeypatch.setattr(cli, "sweep_spectrum", no_work)
         code, out, err = run_cli(
             ["spectrum", "--device", device_files["fig2"],
              "--sweep", "atoms.1.omega_e", "--range", "1.0:1.1:3", "--outdir", outdir],
@@ -379,8 +387,11 @@ class TestDynamics:
         "kind, start",
         [("file", "cannot use output directory"), ("csv_dir", "cannot write")],
     )
-    def test_unusable_outdir_is_usage_error(self, device_files, tmp_path, capsys, kind, start):
+    def test_unusable_outdir_is_usage_error(
+        self, device_files, tmp_path, capsys, monkeypatch, kind, start
+    ):
         outdir = unusable_outdir(tmp_path, kind, "dynamics.csv")
+        monkeypatch.setattr(cli, "evolve", no_work)
         code, out, err = run_cli(
             ["dynamics", "--device", device_files["three"],
              "--initial", "0,e,g,g", "--t-final", "0", "--outdir", outdir],

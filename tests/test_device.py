@@ -1,12 +1,14 @@
 """Device validation, Hamiltonian assembly, and dispersive diagnostics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycqed import device, hilbert, symmetry
 from cycqed.device import (
     TRANSITIONS,
     AtomSpec,
@@ -14,8 +16,8 @@ from cycqed.device import (
     CouplingEdge,
     DeviceSpec,
     Model,
+    bare_energy_vector,
     bare_state,
-    build_bare_hamiltonian,
     build_interaction_rwa,
     build_space,
     get_parameter,
@@ -23,7 +25,9 @@ from cycqed.device import (
     validate_dispersive,
     with_parameter,
 )
+from cycqed.dynamics import evolve
 from cycqed.hilbert import embed, ladder, total_excitation_operator, transition_projector
+from cycqed.spectral import sweep_spectrum
 
 from conftest import make_three_atom_device, make_two_cavity_device
 
@@ -114,7 +118,7 @@ class TestBareHamiltonian:
     def test_table_energies(self):
         dev = make_three_atom_device()
         sp = build_space(dev)
-        h0 = build_bare_hamiltonian(dev, sp)
+        h0 = np.diag(bare_energy_vector(dev, sp))
         excited = bare_state(dev, sp, (0,), ("e", "g", "g"))
         assert h0[excited.index, excited.index].real == pytest.approx(TWO_PI * 7.966)
         vacuum = bare_state(dev, sp, (0,), ("g", "g", "g"))
@@ -125,7 +129,7 @@ class TestBareHamiltonian:
     def test_diagonal_matches_state_energy(self):
         dev = make_two_cavity_device(n_max=2)
         sp = build_space(dev)
-        h0 = build_bare_hamiltonian(dev, sp)
+        h0 = np.diag(bare_energy_vector(dev, sp))
         np.testing.assert_array_equal(h0, np.diag(np.diag(h0)))
         st = bare_state(dev, sp, (1, 2), ("e", "i", "g"))
         assert h0[st.index, st.index].real == pytest.approx(st.energy)
@@ -159,14 +163,14 @@ class TestInteractionHamiltonian:
             edges=(CouplingEdge("1", "c", g_ge=100.0), CouplingEdge("2", "c", g_ge=80.0)),
         )
         sp = build_space(dev)
-        h = build_bare_hamiltonian(dev, sp) + build_interaction_rwa(dev, sp)
+        h = np.diag(bare_energy_vector(dev, sp)) + build_interaction_rwa(dev, sp)
         nt = total_excitation_operator(sp)
         np.testing.assert_allclose(h @ nt - nt @ h, 0, atol=1e-12)
 
     def test_excitation_not_conserved_with_cyclic_atom(self):
         dev = make_three_atom_device()
         sp = build_space(dev)
-        h = build_bare_hamiltonian(dev, sp) + build_interaction_rwa(dev, sp)
+        h = np.diag(bare_energy_vector(dev, sp)) + build_interaction_rwa(dev, sp)
         nt = total_excitation_operator(sp)
         assert np.max(np.abs(h @ nt - nt @ h)) > 1.0
 
@@ -232,7 +236,7 @@ class TestIndexFormAgainstKron:
         ref = kron_interaction(dev, sp)
         scale = max(float(np.abs(ref).max()), 1e-300)
         assert float(np.abs(h - ref).max()) <= 1e-14 * scale
-        h0 = build_bare_hamiltonian(dev, sp)
+        h0 = np.diag(bare_energy_vector(dev, sp))
         assert h0.dtype == np.float64
 
 
@@ -266,6 +270,51 @@ def model_points(draw):
     return dev, path, x
 
 
+@st.composite
+def class_points(draw):
+    """A device with a class of 2 or 3 identical atoms, one of its fields, and a new value.
+
+    An optional control atom differs from the class in omega_e. The field is
+    a frequency, a coupling or a rate, on a class atom, the control atom or
+    the cavity; the value keeps the device valid.
+    """
+    n_max = draw(st.integers(2, 3))
+    cavity = CavitySpec("c", draw(st.floats(1.0, 10.0)), kappa=draw(st.floats(0.0, 1.0)), n_max=n_max)
+    omega_e = draw(st.floats(1.0, 10.0))
+    three = draw(st.booleans())
+    omega_i = omega_e + draw(st.floats(0.1, 5.0)) if three else None
+    rates = {"gamma_ge": draw(st.floats(0.0, 1.0))}
+    couplings = {"g_ge": draw(st.floats(1e-3, 300.0))}
+    if three:
+        rates.update(gamma_gi=draw(st.floats(0.0, 1.0)), gamma_ei=draw(st.floats(0.0, 1.0)))
+        couplings.update(g_gi=draw(st.floats(1e-3, 300.0)), g_ei=draw(st.floats(1e-3, 300.0)))
+    labels = [f"t{k}" for k in range(draw(st.integers(2, 3)))]
+    atoms = [AtomSpec(label, omega_e, omega_i, **rates) for label in labels]
+    edges = [CouplingEdge(label, "c", **couplings) for label in labels]
+    if draw(st.booleans()):
+        atoms.insert(0, AtomSpec("q", omega_e * draw(st.floats(0.5, 0.99)), omega_i, **rates))
+        edges.insert(0, CouplingEdge("q", "c", **couplings))
+    dev = DeviceSpec((cavity,), tuple(atoms), tuple(edges), unit_omega0=draw(st.booleans()))
+    atom = draw(st.sampled_from(dev.atoms)).label
+    paths = ["cavities.c.omega_c", "cavities.c.kappa", f"atoms.{atom}.omega_e"]
+    paths += [f"atoms.{atom}.{name}" for name in rates]
+    paths += [f"edges.{atom}.c.{name}" for name in couplings]
+    if three:
+        paths.append(f"atoms.{atom}.omega_i")
+    path = draw(st.sampled_from(paths))
+    factor = draw(st.floats(0.5, 1.0))
+    value = get_parameter(dev, path)
+    if path.endswith("omega_e"):
+        x = value * factor
+    elif path.endswith("omega_i"):
+        x = value / factor
+    elif path.endswith("omega_c"):
+        x = 2 * value * factor
+    else:
+        x = 300.0 * (1.0 - factor)
+    return dev, path, x
+
+
 class TestModel:
     @settings(deadline=None, max_examples=100)
     @given(model_points())
@@ -274,9 +323,31 @@ class TestModel:
         h = Model(dev).at(path, x)
         moved = with_parameter(dev, path, x)
         space = build_space(moved)
-        ref = build_bare_hamiltonian(moved, space) + build_interaction_rwa(moved, space)
+        ref = np.diag(bare_energy_vector(moved, space)) + build_interaction_rwa(moved, space)
         assert h.dtype == ref.dtype and h.shape == ref.shape
         assert h.tobytes() == ref.tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(class_points())
+    def test_blocks_match_fresh_assembly_bit_for_bit(self, point):
+        dev, path, x = point
+        model = Model(dev)
+        sectors = model.sectors_for(path)
+        moved = with_parameter(dev, path, x)
+        space = build_space(moved)
+        interaction = build_interaction_rwa(moved, space)
+        if sectors.labels:
+            energy = bare_energy_vector(moved, space)
+            ref = sectors.project(interaction)
+            for h, rows in zip(ref, sectors.anchors):
+                np.fill_diagonal(h, energy[rows])
+        else:
+            ref = [np.diag(bare_energy_vector(moved, space)) + interaction]
+        blocks = model.blocks(path, x)
+        assert len(blocks) == len(ref)
+        for h, r in zip(blocks, ref):
+            assert h.dtype == r.dtype and h.shape == r.shape
+            assert h.tobytes() == r.tobytes()
 
     def test_n_max_change_rejected(self):
         model = Model(make_three_atom_device())
@@ -355,3 +426,43 @@ class TestStateLabels:
         sp = build_space(dev)
         with pytest.raises(ValueError):
             parse_state_label(dev, sp, "0,0,i,g,g")
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` at every name a cycqed module binds it to; returns the list of its calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cycqed" or name.startswith("cycqed."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestModelReuse:
+    """One assembled model per sweep and per evolve: nothing is rebuilt per point."""
+
+    @pytest.mark.parametrize("make", [make_three_atom_device, make_two_cavity_device])
+    def test_frequency_sweep_rebuilds_no_device(self, make, monkeypatch):
+        dev = make(n_max=2)
+        moved = count_calls(monkeypatch, device.with_parameter)
+        energies = count_calls(monkeypatch, device.bare_energy_vector)
+        values = np.linspace(7.9, 8.0, 21)
+        result = sweep_spectrum(dev, "atoms.1.omega_e", values)
+        assert result.energies.shape[0] == 21
+        assert len(moved) <= 2 and len(energies) <= 2
+
+    def test_evolve_builds_space_and_sectors_once(self, monkeypatch):
+        dev = make_three_atom_device(n_max=2)
+        initial = bare_state(dev, build_space(dev), (0,), ("e", "g", "g"))
+        spaces = count_calls(monkeypatch, hilbert.build_space)
+        sectors = count_calls(monkeypatch, symmetry.build_sectors)
+        traj = evolve(dev, initial, 4.0, samples=5, validate=True)
+        assert traj.sectors == (54, 27)
+        assert len(spaces) == 1 and len(sectors) == 1
+

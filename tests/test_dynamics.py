@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import make_four_atom_device, make_three_atom_device, make_two_cavity_device
-from cycqed import dynamics
+from cycqed import device, dynamics
 from cycqed.device import (
     AtomSpec,
     CavitySpec,
     CouplingEdge,
     DeviceSpec,
+    bare_energy_vector,
     bare_state,
-    build_bare_hamiltonian,
     build_interaction_rwa,
     build_space,
 )
@@ -349,7 +349,7 @@ def exact_states(dev: DeviceSpec, rho0: np.ndarray, times: np.ndarray) -> list[n
     """
     space = build_space(dev)
     d = space.total_dim
-    h = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
+    h = np.diag(bare_energy_vector(dev, space)) + build_interaction_rwa(dev, space)
     eye = np.eye(d)
     liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     for ch in build_collapse_channels(dev, space):
@@ -501,7 +501,7 @@ class TestSymmetrySectors:
         blocks = run_split()
         with pytest.MonkeyPatch.context() as mp:
             # no public knob selects the path; the detector is forced to decline
-            mp.setattr(dynamics, "build_sectors", lambda *args: None)
+            mp.setattr(device, "build_sectors", lambda *args: None)
             full = run_split()
         assert blocks.sectors and max(blocks.sectors) < space.total_dim
         assert full.sectors == ()
@@ -565,7 +565,7 @@ class TestLindbladRHS:
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        h = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
+        h = np.diag(bare_energy_vector(dev, space)) + build_interaction_rwa(dev, space)
         out = lindblad_rhs(rho, h, dev)
         assert abs(np.trace(out)) < 1e-12
 
@@ -577,7 +577,7 @@ class TestLindbladRHS:
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        h = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
+        h = np.diag(bare_energy_vector(dev, space)) + build_interaction_rwa(dev, space)
         expected = -1j * (h @ rho - rho @ h)
         for ch in build_collapse_channels(dev, space):
             op = ch.as_matrix(d)
@@ -588,7 +588,7 @@ class TestLindbladRHS:
     def test_stationary_states_have_zero_rhs(self):
         dev = jc_device()
         space = build_space(dev)
-        h = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
+        h = np.diag(bare_energy_vector(dev, space)) + build_interaction_rwa(dev, space)
         ground = DensityMatrix.pure(space, bare_state(dev, space, (0,), ("g",)).index)
         np.testing.assert_allclose(lindblad_rhs(ground, h, dev), 0.0, atol=1e-15)
         mixed = np.eye(space.total_dim, dtype=complex) / space.total_dim
@@ -597,7 +597,7 @@ class TestLindbladRHS:
     def test_photon_number_decay_rate(self):
         dev = decay_cavity_device(kappa=0.04)
         space = build_space(dev)
-        h = build_bare_hamiltonian(dev, space)
+        h = np.diag(bare_energy_vector(dev, space))
         rho = DensityMatrix.pure(space, bare_state(dev, space, (2,), ("g",)).index)
         number = np.diag(space.occupation_arrays()[0].astype(complex))
         out = lindblad_rhs(rho, h, dev)
@@ -606,7 +606,7 @@ class TestLindbladRHS:
     def test_accepts_density_matrix_and_array(self):
         dev = decay_cavity_device()
         space = build_space(dev)
-        h = build_bare_hamiltonian(dev, space)
+        h = np.diag(bare_energy_vector(dev, space))
         rho = DensityMatrix.pure(space, bare_state(dev, space, (1,), ("g",)).index)
         np.testing.assert_allclose(
             lindblad_rhs(rho, h, dev), lindblad_rhs(rho.entries, h, dev), atol=0
@@ -768,7 +768,7 @@ class TestVirtualSwap:
         space = build_space(dev)
         initial = bare_state(dev, space, (0,), ("e", "g"))
         n_t = total_excitation_operator(space).astype(complex)
-        h = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
+        h = np.diag(bare_energy_vector(dev, space)) + build_interaction_rwa(dev, space)
         obs = ObservableSet(
             (Observable("n_t", matrix=n_t), Observable("energy", matrix=h))
         )
@@ -811,7 +811,7 @@ class TestEvolvePlumbing:
         def no_work(*args):
             raise AssertionError("evolve did work before checking t_final")
 
-        monkeypatch.setattr(dynamics, "build_space", no_work)
+        monkeypatch.setattr(dynamics, "Model", no_work)
         with pytest.raises(ValueError, match="t_final must be nonnegative and finite"):
             evolve(dev, initial, t_final)
 
@@ -824,7 +824,7 @@ class TestEvolvePlumbing:
             raise AssertionError("evolve assembled H before checking the step")
 
         with monkeypatch.context() as patched:
-            patched.setattr(dynamics, "build_bare_hamiltonian", no_work)
+            patched.setattr(device, "build_interaction_rwa", no_work)
             with pytest.raises(ValueError, match=r"stability bound 2; use a step below 0\.666"):
                 evolve(dev, initial, 10.0, samples=11, method="split", step=1.0)
         # step 0.8 splits each interval in two: h = 0.5, h R_max = 1.5
@@ -860,7 +860,7 @@ class TestEvolvePlumbing:
         def no_work(*args):
             raise AssertionError("evolve did work before checking the step")
 
-        monkeypatch.setattr(dynamics, "build_space", no_work)
+        monkeypatch.setattr(dynamics, "Model", no_work)
         with pytest.raises(ValueError, match="step must be positive and finite"):
             evolve(dev, initial, 5.0, method="split", step=step)
 
@@ -897,6 +897,36 @@ class TestEvolvePlumbing:
         )
         assert traj.states is not None and len(traj.states) == 5
         assert all(isinstance(s, DensityMatrix) for s in traj.states)
+
+    @pytest.mark.parametrize(
+        "make, initial, final, sectors",
+        [
+            (lambda: jc_device(kappa=0.4, gamma=0.2), ((1,), ("e",)), ((0,), ("e",)), ()),
+            (
+                lambda: make_three_atom_device(n_max=2),
+                ((0,), ("e", "g", "g")),
+                ((0,), ("g", "e", "e")),
+                (54, 27),
+            ),
+        ],
+    )
+    def test_sample_reductions_match_kept_states(self, make, initial, final, sectors):
+        dev = make()
+        space, initial, final, obs = transfer_observables(dev, initial, final)
+        traj = evolve(dev, initial, 20.0, samples=9, obs=obs, keep_states=True)
+        assert traj.sectors == sectors
+        states = [s.entries for s in traj.states]
+        for k, rho in enumerate(states):
+            sampled = np.array([traj.values[name][k] for name in obs.names])
+            assert np.abs(sampled - obs.evaluate(rho)).max() <= 1e-15
+            assert abs(traj.purity[k] - np.sum(rho.real**2 + rho.imag**2)) <= 1e-15
+        drift = max(abs(np.trace(rho).real - 1.0) for rho in states)
+        assert abs(traj.trace_drift - drift) <= 1e-15
+        occ = space.occupation_arrays()
+        for cav in dev.cavities:
+            top = occ[space.position(cav.label)] == cav.n_max
+            worst = max(float(np.diagonal(rho).real[top].sum()) for rho in states)
+            assert abs(traj.top_fock[cav.label] - worst) <= 1e-15
 
     def test_validation_residual(self):
         dev = jc_device(kappa=1.0, gamma=0.5)

@@ -19,7 +19,7 @@ from cycqed.device import (
     CavitySpec,
     CouplingEdge,
     DeviceSpec,
-    build_bare_hamiltonian,
+    bare_energy_vector,
     build_interaction_rwa,
     build_space,
     parse_state_label,
@@ -53,7 +53,7 @@ class TestDiagonalize:
     def test_diagonal_hamiltonian(self):
         dev = make_crossing_sweep_device()
         space = build_space(dev)
-        h0 = build_bare_hamiltonian(dev, space)
+        h0 = np.diag(bare_energy_vector(dev, space))
         evals, vecs = diagonalize(h0)
         np.testing.assert_allclose(np.sort(np.diag(h0)), evals, atol=1e-12)
         assert vecs.shape == (space.total_dim, space.total_dim)
@@ -100,7 +100,7 @@ class TestDiagonalize:
     def test_phase_fixing(self):
         dev = make_crossing_sweep_device()
         space = build_space(dev)
-        h0 = build_bare_hamiltonian(dev, space)
+        h0 = np.diag(bare_energy_vector(dev, space))
         _, vecs = diagonalize(h0)
         assert vecs.dtype == np.float64
         for k in range(vecs.shape[1]):
@@ -202,7 +202,7 @@ def golden_reference(dev, parameter, bracket, levels):
     def gap_at(x):
         point = with_parameter(dev, parameter, x)
         space = build_space(point)
-        h = build_bare_hamiltonian(point, space) + build_interaction_rwa(point, space)
+        h = np.diag(bare_energy_vector(point, space)) + build_interaction_rwa(point, space)
         evals = np.linalg.eigvalsh(h)
         return float(evals[l2] - evals[l1])
 
@@ -241,7 +241,7 @@ def crossing_devices(draw):
     space = build_space(dev)
     initial = parse_state_label(dev, space, "0,e" + ",g" * (n_atoms - 1)).index
     final = parse_state_label(dev, space, "0,g" + ",e" * (n_atoms - 1)).index
-    h = build_bare_hamiltonian(dev, space) + build_interaction_rwa(dev, space)
+    h = np.diag(bare_energy_vector(dev, space)) + build_interaction_rwa(dev, space)
     _, vecs = np.linalg.eigh(h)
     weight = vecs[initial] ** 2 + vecs[final] ** 2
     levels = tuple(sorted(int(k) for k in np.argsort(weight)[-2:]))
@@ -257,6 +257,24 @@ class TestRootSearchAgainstGolden:
         if ref is None:
             reject()
         rep = find_resonance(dev, "atoms.1.omega_e", bracket, levels)
+        assert rep.location == pytest.approx(ref[0], rel=1e-6)
+        assert rep.gap <= ref[1] * (1 + 1e-9)
+
+    def test_third_level_crossing_inside_the_scan_bracket(self):
+        # level 4 crosses level 3 just above the gap minimum of levels 2 and 3, so the
+        # slope difference has the same sign at both neighbours of the coarse minimum
+        dev = DeviceSpec(
+            (CavitySpec("c", 0.23828125, n_max=3),),
+            (AtomSpec("1", 0.46875, 0.96875), AtomSpec("2", 0.46875, 0.71875)),
+            (
+                CouplingEdge("1", "c", g_ge=0.015625, g_gi=0.015625, g_ei=0.015625),
+                CouplingEdge("2", "c", g_ge=0.01171875, g_gi=0.015625, g_ei=0.015625),
+            ),
+            unit_omega0=True,
+        )
+        bracket = (0.44875, 0.48875)
+        ref = golden_reference(dev, "atoms.1.omega_e", bracket, (2, 3))
+        rep = find_resonance(dev, "atoms.1.omega_e", bracket, (2, 3))
         assert rep.location == pytest.approx(ref[0], rel=1e-6)
         assert rep.gap <= ref[1] * (1 + 1e-9)
 
