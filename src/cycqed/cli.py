@@ -1,14 +1,15 @@
 """Command-line front end: sweeps, couplings, dynamics runs, preset checks.
 
 Exit codes: 0 on success, 1 when a scientific check or computation fails,
-2 on usage or input-parsing errors. CSV output is deterministic: fixed
-column order, 12 significant digits, newline-terminated rows, so repeated
-invocations are byte-identical.
+2 on usage or input-parsing errors, 141 when the reader closes stdout. CSV
+output is deterministic: fixed column order, 12 significant digits,
+newline-terminated rows, so repeated invocations are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -44,6 +45,8 @@ from .scenarios import (
 from .spectral import find_resonance, sweep_spectrum
 
 OUTDIR_ENV = "CYCQED_OUTDIR"
+# what a shell reports for a process that SIGPIPE ended: 128 + 13
+EXIT_CLOSED_STDOUT = 141
 
 
 class UsageError(Exception):
@@ -419,13 +422,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): stop quietly, and point the
+        # descriptor at devnull so the interpreter's flush at exit cannot fail
+        with contextlib.suppress(AttributeError, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

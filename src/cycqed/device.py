@@ -353,8 +353,11 @@ class Model:
     and ``blocks(path, x)`` its projection on ``sectors_for(path)`` with the
     diagonal read at ``sectors.anchors``. An atom or cavity field re-validates
     only its spec and recomputes only its energy term, summed in
-    ``bare_energy_vector``'s order; a coupling field rebuilds the interaction;
-    an ``n_max`` that changes the dimension is refused.
+    ``bare_energy_vector``'s order; a coupling field rebuilds the interaction.
+    A value that changes a subsystem's number of levels is refused with
+    ``ValueError``: a new ``n_max``, or an ``omega_i`` set on a two-level atom
+    or cleared on a three-level one. ``whole`` is the one block W = 1, built
+    once per model.
     """
 
     dev: DeviceSpec
@@ -371,8 +374,12 @@ class Model:
         return build_interaction_rwa(self.dev, self.space)
 
     @cached_property
+    def whole(self) -> Sectors:
+        return Sectors.whole(self.space.total_dim)
+
+    @cached_property
     def sectors(self) -> Sectors:
-        return build_sectors(self.dev, self.space) or Sectors.whole(self.space.total_dim)
+        return build_sectors(self.dev, self.space) or self.whole
 
     @cached_property
     def reduced(self) -> tuple[np.ndarray, ...]:
@@ -390,12 +397,11 @@ class Model:
         group, k, name = self._where(path) if path else (None, None, None)
         if group == "edges":
             interaction = build_interaction_rwa(with_parameter(self.dev, path, x), self.space)
-        elif name == "n_max":
-            if x != get_parameter(self.dev, path):
-                raise ValueError("sweep parameter changes the space dimension")
         elif group:
             spec = replace(getattr(self.dev, group)[k], **{name: x})
             at = self.space.position(spec.label)
+            if self.space.dims[at] != (spec.n_max + 1 if group == "cavities" else spec.levels):
+                raise ValueError("sweep parameter changes the space dimension")
             terms[at] = _energy_term(self.dev, spec, self.space.occupation_arrays()[at])
         return sum(terms), interaction
 
@@ -412,7 +418,7 @@ class Model:
         group, k, _ = self._where(path)
         atom = {"atoms": "label", "edges": "atom"}.get(group)
         if atom and getattr(getattr(self.dev, group)[k], atom) in self.sectors.labels:
-            return Sectors.whole(self.space.total_dim)
+            return self.whole
         return self.sectors
 
     def blocks(self, path: str, x: float) -> list[np.ndarray]:

@@ -4,7 +4,8 @@ The generator is dρ/dt = −i[H,ρ] + Σ κ_s L[a_s] + Σ_q Σ_jk γ_jk L[|j⟩
 with L[O]ρ = OρO† − {O†O,ρ}/2. Every collapse operator here has at most
 one nonzero entry per row and per column, so O†O is diagonal and the whole
 dissipator is one sparse superoperator on vec(ρ), built once per run with
-O(d²) nonzeros; each evaluation is one sparse matrix-vector product.
+O(d²) nonzeros (12.8 MB at d = 432) written straight into CSR from the
+channels' index arrays; each evaluation is one sparse matrix-vector product.
 
 The Hamiltonian is a real symmetric float64 matrix; only the density
 matrix, the propagators and the dissipator are complex.
@@ -23,8 +24,10 @@ When one class of two or three identical atoms leaves H, the dissipator and
 the initial state unchanged under permutation, ρ(t) stays block diagonal in
 the isotypic sectors of S_2 or S_3, ρ = ⊕_λ ρ_λ ⊗ 1_{d_λ}, and ``split``
 evolves only the blocks ρ_λ: one zgemm pair per block and two sparse
-products with the reduced dissipator per step. Every sample is lifted back
-to the full space. The ``symmetry`` module builds the blocks.
+products with the reduced dissipator per step, which is assembled from the
+channels and the vec maps without forming the full one (5.0 MB against
+15.2 MB at d = 486). Every sample is lifted back to the full space. The
+``symmetry`` module builds the blocks.
 """
 
 from __future__ import annotations
@@ -249,20 +252,80 @@ def _dissipator(channels, dim: int) -> sparse.csr_matrix | None:
 
     Channel c maps entry (source_a, source_b) to (dest_a, dest_b) with weight
     amp_a amp_b*; the anticommutator puts −(R_j + R_k)/2 on the diagonal,
-    where R = Σ_c O_c†O_c is diagonal.
+    where R = Σ_c O_c†O_c is diagonal. A row holds its diagonal entry (zero
+    where nothing decays) and one entry per channel whose destinations hold
+    both its indices, so the CSR arrays are counted and then written in
+    place: sorted, duplicate-free, with 32-bit indices when they fit.
     """
     if not channels:
         return None
+    size = dim * dim
     rates = sum(ch.rate_diagonal(dim) for ch in channels)
-    diagonal = np.arange(dim * dim)
-    rows = [diagonal] + [(ch.dest[:, None] * dim + ch.dest).ravel() for ch in channels]
-    cols = [diagonal] + [(ch.source[:, None] * dim + ch.source).ravel() for ch in channels]
-    data = [-0.5 * (rates[:, None] + rates).ravel()]
-    data += [np.outer(ch.amp, ch.amp.conj()).ravel() for ch in channels]
-    return sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim * dim, dim * dim),
-    )
+    # channel c's entry sits (source − dest)·(d + 1) right of the diagonal:
+    # written in order of that shift, every row comes out sorted
+    channels = sorted(channels, key=lambda ch: (ch.source - ch.dest).max(initial=0))
+    rows = [np.add.outer(ch.dest * dim, ch.dest).ravel() for ch in channels]
+    counts = np.bincount(np.concatenate(rows), minlength=size)
+    counts += 1
+    nnz = int(counts.sum())
+    index = np.int32 if max(nnz, size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(size + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices, data = np.empty(nnz, dtype=index), np.empty(nnz, dtype=complex)
+    # the next free slot of each row
+    free = indptr[:-1].astype(np.intp)
+    indices[free] = np.arange(size)
+    data[free] = -0.5 * (rates[:, None] + rates).ravel()
+    free += 1
+    for ch, at_rows in zip(channels, rows):
+        at = free[at_rows]
+        indices[at] = np.add.outer(ch.source * dim, ch.source).ravel()
+        data[at] = np.multiply.outer(ch.amp, ch.amp.conj()).ravel()
+        free[at_rows] = at + 1
+    out = sparse.csr_matrix((data, indices, indptr), shape=(size, size))
+    out.sum_duplicates()
+    return out
+
+
+def _block_dissipator(channels, dim: int, sectors) -> sparse.csr_matrix | None:
+    """The block form reduce · D · lift of ``_dissipator``, built without D; None without channels.
+
+    With (reduce, lift) = ``sectors.vec_maps``, the anticommutator part is
+    reduce times ``lift`` with its rows scaled by −(R_j + R_k)/2, and channel
+    c adds the columns of ``reduce`` at its destination pairs times the rows
+    of ``lift`` at its source pairs, scaled by amp ⊗ amp*. Entries that
+    vanish exactly come out of the sparse products as cancellation residue
+    near 1e-17 of the largest entry; they are dropped.
+    """
+    if not channels:
+        return None
+    reduce, lift = sectors.vec_maps
+    rates = sum(ch.rate_diagonal(dim) for ch in channels)
+    every = slice(None)
+    out = reduce @ _moved_rows(lift, every, every, -0.5 * (rates[:, None] + rates).ravel())
+    for ch in channels:
+        pairs = [np.add.outer(i * dim, i).ravel() for i in (ch.source, ch.dest)]
+        out = out + reduce @ _moved_rows(lift, *pairs, np.multiply.outer(ch.amp, ch.amp.conj()).ravel())
+    out.data[np.abs(out.data) < 1e-12 * np.abs(out.data).max()] = 0.0
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def _moved_rows(op: sparse.csr_matrix, source, dest, weights) -> sparse.csr_matrix:
+    """The matrix whose row dest[k] is weights[k] times row source[k] of ``op``, for ascending ``dest``.
+
+    Its other rows are empty. With ``op`` = lift and a collapse channel's
+    pairs and weights, it is the channel's part of the dissipator times lift.
+    """
+    rows = op[source]
+    lengths = np.diff(rows.indptr)
+    data = np.repeat(weights, lengths)
+    data *= rows.data
+    indptr = np.zeros(op.shape[0] + 1, dtype=rows.indptr.dtype)
+    indptr[1:][dest] = lengths
+    np.cumsum(indptr, out=indptr)
+    return sparse.csr_matrix((data, rows.indices, indptr), shape=op.shape)
 
 
 # -- trajectory container -----------------------------------------------------
@@ -440,6 +503,15 @@ class _Reducer:
         self.purity[k] = np.vdot(rho, rho).real
 
 
+def _apply_real(op: sparse.csr_matrix, vec: np.ndarray) -> np.ndarray:
+    """``op @ vec`` for a real sparse map and a complex vec, without a complex copy of ``op``.
+
+    The real and imaginary parts go through as the two columns of one real
+    product, so every entry is the one the complex product gives.
+    """
+    return (op @ vec.view(np.float64).reshape(-1, 2)).view(complex).ravel()
+
+
 def _integrate(model, channels, rho0, times, step, on_sample, checkpoints=()):
     """Core loop shared by the main run and the validation rerun.
 
@@ -451,17 +523,16 @@ def _integrate(model, channels, rho0, times, step, on_sample, checkpoints=()):
     the symmetry blocks evolved (() on the full path).
     """
     dim = model.space.total_dim
-    dissipator = _dissipator(channels, dim)
     herm_worst = 0.0
     min_eig = math.inf
     sectors, h_flat = model.sectors, model.at().ravel()
     if not sectors.labels or not sectors.invariant(rho0):
         sectors, sizes, flat = None, (dim,), rho0.ravel().copy()
+        dissipator = _dissipator(channels, dim)
     else:
         reduce, lift = sectors.vec_maps
-        sizes, flat, h_flat = sectors.sizes, reduce @ rho0.ravel(), reduce @ h_flat
-        if dissipator is not None:
-            dissipator = sectors.superoperator(dissipator)
+        sizes, flat, h_flat = sectors.sizes, _apply_real(reduce, rho0.ravel()), reduce @ h_flat
+        dissipator = _block_dissipator(channels, dim, sectors)
     stepper = _SplitStepper(h_flat, sizes, dissipator)
     for k in range(len(times)):
         if k:
@@ -474,7 +545,7 @@ def _integrate(model, channels, rho0, times, step, on_sample, checkpoints=()):
         if sectors is None:
             rho = flat.reshape(dim, dim)
         else:
-            rho = (lift @ flat).reshape(dim, dim)
+            rho = _apply_real(lift, flat).reshape(dim, dim)
         on_sample(k, rho)
         if k in checkpoints:
             lowest = (float(np.linalg.eigvalsh(b)[0]) for b in stepper.blocks(flat))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import io
 import json
 import re
 import subprocess
@@ -260,6 +261,31 @@ class TestCoupling:
         match = self.LINE.search(out)
         assert float(match.group(1)) == pytest.approx(0.238, rel=0.01)
         assert int(match.group(2)) == 6
+
+    def test_closed_stdout_ends_quietly(self, device_files, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["coupling", "--device", str(device_files["three"]),
+                     "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "4"])
+        assert code == cli.EXIT_CLOSED_STDOUT == 141
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_the_pipe_ends_quietly(self, device_files):
+        # order 10 prints 4,668 paths, far more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cycqed.cli", "coupling", "--device", str(device_files["three"]),
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"chi/2pi = ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 141
+        assert err == b""
 
     def test_odd_order_is_usage_error(self, device_files, capsys):
         code, _, err = run_cli(

@@ -27,9 +27,9 @@ from cycqed.device import (
 )
 from cycqed.dynamics import evolve
 from cycqed.hilbert import embed, ladder, total_excitation_operator, transition_projector
-from cycqed.spectral import sweep_spectrum
+from cycqed.spectral import find_resonance, sweep_spectrum
 
-from conftest import make_three_atom_device, make_two_cavity_device
+from conftest import make_crossing_sweep_device, make_three_atom_device, make_two_cavity_device
 
 TWO_PI = 2 * math.pi
 
@@ -466,3 +466,53 @@ class TestModelReuse:
         assert traj.sectors == (54, 27)
         assert len(spaces) == 1 and len(sectors) == 1
 
+    def test_class_atom_sweep_builds_one_whole_block(self, monkeypatch):
+        dims = []
+        whole = symmetry.Sectors.whole
+
+        def counted(dim):
+            dims.append(dim)
+            return whole(dim)
+
+        monkeypatch.setattr(symmetry.Sectors, "whole", staticmethod(counted))
+        dev = make_three_atom_device(n_max=2)
+        result = sweep_spectrum(dev, "atoms.2.omega_e", np.linspace(3.9, 4.1, 21))
+        assert result.energies.shape == (21, 81)
+        assert dims == [81]
+
+
+def two_level_device() -> DeviceSpec:
+    return DeviceSpec(
+        cavities=(CavitySpec("c", 6.0, n_max=3),),
+        atoms=(AtomSpec("1", 5.0),),
+        edges=(CouplingEdge("1", "c", g_ge=50.0),),
+    )
+
+
+class TestLevelChangeRefused:
+    """A value that changes a subsystem's number of levels is refused, as a new n_max is."""
+
+    def test_omega_i_on_a_two_level_atom(self):
+        dev = two_level_device()
+        model = Model(dev)
+        with pytest.raises(ValueError, match="changes the space dimension"):
+            model.at("atoms.1.omega_i", 9.0)
+        with pytest.raises(ValueError, match="changes the space dimension"):
+            model.blocks("atoms.1.omega_i", 9.0)
+        with pytest.raises(ValueError, match="changes the space dimension"):
+            sweep_spectrum(dev, "atoms.1.omega_i", [8.0, 9.0])
+        with pytest.raises(ValueError, match="changes the space dimension"):
+            find_resonance(dev, "atoms.1.omega_i", (8.0, 9.0), (1, 2))
+
+    @pytest.mark.parametrize(
+        "path, x", [("atoms.1.omega_i", None), ("cavities.c.n_max", 3), ("cavities.c.n_max", 2.5)]
+    )
+    def test_other_level_changes(self, path, x):
+        # qutrits without gi or ei rates, so a cleared omega_i is a valid atom
+        model = Model(make_crossing_sweep_device(n_max=2))
+        with pytest.raises(ValueError, match="changes the space dimension"):
+            model.at(path, x)
+
+    def test_unchanged_n_max_is_the_device(self):
+        model = Model(make_three_atom_device(n_max=2))
+        assert model.at("cavities.c.n_max", 2).tobytes() == model.at().tobytes()

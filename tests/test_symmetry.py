@@ -127,6 +127,38 @@ class TestBlocksAgainstDense:
             assert blocks.gap == pytest.approx(reference.gap, rel=1e-6)
 
 
+def kron_maps(sectors) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """(reduce, lift) assembled with ``sparse.kron``, ``vstack`` and ``hstack``."""
+    reduce = [sparse.kron(c[0].T, c[0].T) for c in sectors.copies]
+    lift = [sum(sparse.kron(w, w) for w in c) for c in sectors.copies]
+    return sparse.vstack(reduce, format="csr"), sparse.hstack(lift, format="csr")
+
+
+def assert_maps_match_kron(sectors):
+    for got, reference in zip(sectors.vec_maps, kron_maps(sectors)):
+        reference.sort_indices()
+        assert got.has_canonical_format and got.shape == reference.shape
+        assert got.indices.dtype == got.indptr.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(reference, name))
+
+
+class TestVecMaps:
+    """The direct CSR build of (reduce, lift) is the Kronecker assembly bit for bit."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(class_devices())
+    def test_random_classes(self, dev):
+        assert_maps_match_kron(Model(dev).sectors)
+
+    @pytest.mark.parametrize("make", [make_three_atom_device, make_four_atom_device])
+    def test_shipped_devices(self, make):
+        assert_maps_match_kron(Model(make()).sectors)
+
+    def test_whole_space(self):
+        assert_maps_match_kron(Sectors.whole(5))
+
+
 class TestShippedDevices:
     @pytest.mark.parametrize(
         "make, sizes, copies",
