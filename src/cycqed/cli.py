@@ -255,12 +255,12 @@ def cmd_coupling(args) -> int:
             closed = closed_form_chi(dev, kind)
         except ValueError:
             continue
-        rel = abs(abs(closed) - abs(coupling.lambda_eff)) / abs(closed)
-        print(
-            f"closed form ({kind}): chi/2pi = "
-            f"{dev.angular_to_rate(abs(closed)):.3f} {rate_unit}, "
-            f"path sum agrees to {rel:.2e} relative"
-        )
+        line = f"closed form ({kind}): chi/2pi = {dev.angular_to_rate(abs(closed)):.3f} {rate_unit}"
+        # a closed form that underflows to 0 leaves nothing to compare against
+        if closed:
+            rel = abs(abs(closed) - abs(coupling.lambda_eff)) / abs(closed)
+            line += f", path sum agrees to {rel:.2e} relative"
+        print(line)
         break
     return 0
 

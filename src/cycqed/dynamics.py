@@ -11,14 +11,15 @@ The Hamiltonian is a real symmetric float64 matrix; only the density
 matrix, the propagators and the dissipator are complex.
 
 ``split`` is the integration engine: Strang splitting between the exact
-Hamiltonian flow (one real spectral decomposition up front, then two
-matrix products per step) and a second-order Runge-Kutta kick of the prebuilt
-dissipator (two sparse products per step). Strang splitting is itself
-second order, and the kick's own error is O((γh)³) with γh ≈ 1e-4, so a
-higher-order kick buys nothing. Exact for dissipation-free evolution at
-any step size; the fixed step is validated by halving (``validate=True``).
-``auto`` resolves to ``split``. Tests check the engine against ``expm`` of
-the dense Liouvillian, which is exact.
+Hamiltonian flow (one real spectral decomposition up front, then two matrix
+products per step) and a second-order Runge-Kutta kick of the prebuilt
+dissipator (two sparse products per step). Every sample interval takes the
+same steps, so a run builds its one or two propagators per block up front.
+Strang splitting is itself second order, and the kick's own error is
+O((γh)³) with γh ≈ 1e-4, so a higher-order kick buys nothing. Exact for
+dissipation-free evolution at any step size; the fixed step is validated by
+halving (``validate=True``). ``auto`` resolves to ``split``. Tests check the
+engine against ``expm`` of the dense Liouvillian, which is exact.
 
 When one class of two or three identical atoms leaves H, the dissipator and
 the initial state unchanged under permutation, ρ(t) stays block diagonal in
@@ -398,7 +399,10 @@ KICK_STABILITY_BOUND = 2.0
 
 def _substeps(interval: float, h_target: float) -> int:
     """Number of equal split steps, none longer than h_target, that cover an interval."""
-    return max(1, math.ceil(interval / h_target - 1e-12))
+    count = interval / h_target
+    if not math.isfinite(count):
+        raise ValueError(f"an interval of {interval:.6g} needs {count} steps of {h_target:.6g}")
+    return max(1, math.ceil(count - 1e-12))
 
 
 def _propagator(energies: np.ndarray, basis: np.ndarray, t: float):
@@ -413,60 +417,53 @@ class _SplitStepper:
     """Strang splitting: exact eigenbasis unitary around a second-order dissipator kick.
 
     The state is the stacked row-major vec of one or more diagonal blocks;
-    the full path has a single block of size d. A step costs one zgemm pair
-    per block and two products with the prebuilt sparse superoperator on the
-    stacked vec; without one, a sample interval is one exact propagator per
-    block.
+    the full path has a single block of size d. Every sample interval dt
+    takes the same n steps of length h = dt / n, so the propagators are
+    built up front: per block e^{−iHh/2}, and e^{−iHh} when n > 1; without a
+    dissipator e^{−iH dt} alone; for n = 0 (one sample) none, and no
+    eigendecomposition. A step costs one zgemm pair per block and two
+    products with the prebuilt sparse superoperator on the stacked vec.
     """
 
-    def __init__(self, h_flat: np.ndarray, sizes, dissipator: sparse.csr_matrix | None):
+    def __init__(self, h_flat, sizes, dissipator: sparse.csr_matrix | None, dt: float, n: int):
         ends = itertools.accumulate(m * m for m in sizes)
         self.slices = [(slice(end - m * m, end), m) for end, m in zip(ends, sizes)]
-        self.spectra = [np.linalg.eigh(h) for h in self.blocks(h_flat)]
-        self.dissipator = dissipator
-        self._cache: dict[float, list] = {}
+        self.dissipator, self.n, self.h = dissipator, n, dt / max(n, 1)
+        lengths = [dt] if dissipator is None else [0.5 * self.h, self.h][: min(n, 2)]
+        spectra = [np.linalg.eigh(h) for h in self.blocks(h_flat)] if n else []
+        self.rotations = [[_propagator(e, basis, t) for e, basis in spectra] for t in lengths]
         self.steps = 0
 
     def blocks(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views of the square blocks stacked in a row-major vec."""
         return [flat[part].reshape(m, m) for part, m in self.slices]
 
-    def _propagators(self, t: float) -> list:
-        """e^{−iH_λ t} and its adjoint for every block."""
-        hit = self._cache.get(t)
-        if hit is None:
-            hit = [_propagator(energies, basis, t) for energies, basis in self.spectra]
-            self._cache[t] = hit
-        return hit
-
-    def _rotate(self, flat: np.ndarray, t: float) -> np.ndarray:
+    def _rotate(self, flat: np.ndarray, rotation) -> np.ndarray:
         out = np.empty_like(flat)
-        for (part, m), (u, u_adj) in zip(self.slices, self._propagators(t)):
+        for (part, m), (u, u_adj) in zip(self.slices, rotation):
             np.matmul(u @ flat[part].reshape(m, m), u_adj, out=out[part].reshape(m, m))
         return out
 
-    def _kick(self, flat: np.ndarray, h: float) -> np.ndarray:
+    def _kick(self, flat: np.ndarray) -> np.ndarray:
         # Heun's step; for the linear generator D it is 1 + hD + (hD)²/2,
         # evaluated as flat + hD(flat + (h/2)D flat)
         half = self.dissipator @ flat
-        half *= 0.5 * h
+        half *= 0.5 * self.h
         half += flat
         out = self.dissipator @ half
-        out *= h
+        out *= self.h
         out += flat
         return out
 
-    def advance(self, flat: np.ndarray, interval: float, h_target: float) -> np.ndarray:
-        if interval <= 0.0:
-            return flat
-        n = _substeps(interval, h_target)
-        h = interval / n
+    def advance(self, flat: np.ndarray) -> np.ndarray:
+        """The state one sample interval later."""
         if self.dissipator is None:
             self.steps += 1
-            return self._rotate(flat, interval)
-        flat = self._rotate(flat, 0.5 * h)
-        for k in range(n):
-            flat = self._rotate(self._kick(flat, h), h if k < n - 1 else 0.5 * h)
+            return self._rotate(flat, self.rotations[0])
+        half, full = self.rotations[0], self.rotations[-1]
+        flat = self._rotate(flat, half)
+        for k in range(self.n):
+            flat = self._rotate(self._kick(flat), full if k < self.n - 1 else half)
             self.steps += 1
         return flat
 
@@ -512,9 +509,10 @@ def _apply_real(op: sparse.csr_matrix, vec: np.ndarray) -> np.ndarray:
     return (op @ vec.view(np.float64).reshape(-1, 2)).view(complex).ravel()
 
 
-def _integrate(model, channels, rho0, times, step, on_sample, checkpoints=()):
+def _integrate(model, channels, rho0, times, dt, n, on_sample, checkpoints=()):
     """Core loop shared by the main run and the validation rerun.
 
+    Each sample interval ``dt`` takes ``n`` split steps (0 for one sample).
     Hands every sampled density matrix (a d × d array, Hermitian; to rounding
     when lifted from symmetry blocks) to ``on_sample(k, rho)`` as soon as it
     is taken, and keeps none. Returns the step count, the worst
@@ -533,10 +531,10 @@ def _integrate(model, channels, rho0, times, step, on_sample, checkpoints=()):
         reduce, lift = sectors.vec_maps
         sizes, flat, h_flat = sectors.sizes, _apply_real(reduce, rho0.ravel()), reduce @ h_flat
         dissipator = _block_dissipator(channels, dim, sectors)
-    stepper = _SplitStepper(h_flat, sizes, dissipator)
+    stepper = _SplitStepper(h_flat, sizes, dissipator, dt, n)
     for k in range(len(times)):
         if k:
-            flat = stepper.advance(flat, times[k] - times[k - 1], step)
+            flat = stepper.advance(flat)
             for block in stepper.blocks(flat):
                 adjoint = block.conj().T
                 herm_worst = max(herm_worst, float(np.abs(block - adjoint).max()))
@@ -586,9 +584,11 @@ def evolve(
         the result reports the block sizes.
     step : float, optional
         Target fixed step of the split engine; must be positive and finite.
-        The step length h it yields must also keep h·R_max below 2, where
-        R_max is the largest diagonal entry of Σ_c O_c†O_c: past that,
-        the dissipator kick diverges, and the run is refused up front.
+        Each sample interval dt takes n = ⌈dt / step⌉ steps of length
+        h = dt / n, planned once; an n too large to be finite is refused.
+        h must also keep h·R_max below 2, where R_max is the largest
+        diagonal entry of Σ_c O_c†O_c: past that, the dissipator kick
+        diverges, and the run is refused up front.
     validate : bool
         Rerun at half step and record the worst observable deviation as
         ``validation_residual``.
@@ -615,17 +615,15 @@ def evolve(
         raise ValueError(f"step must be positive and finite, got {step!r}")
     if method not in METHODS:
         raise ValueError(f"unknown integration method {method!r}")
-    if t_final == 0.0:
-        times = np.zeros(1)
-    else:
-        dt = t_final / (samples - 1)
-        times = np.arange(samples) * dt
+    dt = t_final / (samples - 1) if t_final else 0.0
+    times = np.arange(samples if t_final else 1) * dt
+    n = _substeps(dt, step) if t_final else 0
     model = Model(dev)
     space = model.space
     channels = build_collapse_channels(dev, space)
-    if channels and len(times) > 1:
+    if channels and n:
         rate = float(sum(ch.rate_diagonal(space.total_dim) for ch in channels).max())
-        h = max(iv / _substeps(iv, step) for iv in np.diff(times))
+        h = dt / n
         if h * rate >= KICK_STABILITY_BOUND:
             raise ValueError(
                 f"split step {h:.6g} times the largest decay rate {rate:.6g} is "
@@ -654,7 +652,7 @@ def evolve(
             kept.append(rho)
 
     steps, herm_worst, min_eig, sectors = _integrate(
-        model, channels, rho0, times, step, on_sample, check_idx
+        model, channels, rho0, times, dt, n, on_sample, check_idx
     )
     columns, trace_worst = reduced.columns, float(np.abs(reduced.table[-1] - 1.0).max())
     top_fock = {label: float(row.max()) for label, row in reduced.tops.items()}
@@ -684,7 +682,8 @@ def evolve(
     validation_residual = None
     if validate and t_final > 0.0:
         again = _Reducer(dev, space, obs, len(times))
-        _integrate(model, channels, rho0, times, step / 2, again)
+        # ⌈dt / (step / 2)⌉ steps, taken as ⌈2 dt / step⌉ so step / 2 cannot underflow
+        _integrate(model, channels, rho0, times, dt, _substeps(2 * dt, step), again)
         validation_residual = max(
             (float(np.abs(again.columns[n] - columns[n]).max()) for n in obs.names),
             default=0.0,

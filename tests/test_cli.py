@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_crossing_sweep_device,
@@ -287,6 +291,18 @@ class TestCoupling:
         assert proc.wait() == 141
         assert err == b""
 
+    @pytest.mark.parametrize("override", ["cavities.c.omega_c=1e300", "edges.1.c.g_ge=1e-320"])
+    def test_zero_closed_form_prints_no_agreement(self, override, device_files, capsys):
+        # the closed form underflows to 0, so no relative agreement exists
+        code, out, err = run_cli(
+            ["coupling", "--device", device_files["three"], "--initial", "0,e,g,g",
+             "--final", "0,g,e,e", "--order", "4", "--set", override],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "closed form (chi3_one_cavity): chi/2pi = 0.000 MHz"
+        assert "Traceback" not in err
+
     def test_odd_order_is_usage_error(self, device_files, capsys):
         code, _, err = run_cli(
             ["coupling", "--device", device_files["three"],
@@ -436,6 +452,18 @@ class TestDynamics:
         assert out == ""
         assert "invalid choice: 'rk45'" in err
         assert not (tmp_path / "dynamics.csv").exists()
+
+    def test_step_count_past_every_float_is_one_error_line(self, device_files, tmp_path, capsys):
+        # 1e300 / 1e-300 steps per sample interval overflows to inf
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"], "--initial", "0,e,g,g",
+             "--t-final", "1e300", "--samples", "2", "--step", "1e-300", "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: evolution failed: ") and err.count("\n") == 1
+        assert "needs inf steps" in err
 
     def test_full_run_summary_and_csv(self, device_files, tmp_path, capsys):
         code, out, err = run_cli(
@@ -735,3 +763,131 @@ class TestCheck:
         )
         assert proc.returncode == 0
         assert "spectrum" in proc.stdout and "check" in proc.stdout
+
+
+# -- fuzzed boundary -------------------------------------------------------------
+
+def mostly(good, bad):
+    """Draws from ``good`` about nine times in ten, else from ``bad``."""
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: good if ok else bad)
+
+
+ODD_FLOATS = st.sampled_from([0.0, -1.0, 1e-320, 1e300, math.nan, math.inf, -math.inf])
+LABELS = mostly(
+    st.sampled_from(["0,e,g,g", "0,g,e,e", "1,g,g,g", "0,i,g,g", "0,g,e,g", "2,g,g,g"]),
+    st.sampled_from(["0,e,g", "x", "9,e,g,g", "0,q,g,g"]),
+)
+PATHS = mostly(
+    st.sampled_from([
+        "cavities.c.omega_c", "cavities.c.kappa", "atoms.1.omega_e", "atoms.1.omega_i",
+        "atoms.2.omega_e", "atoms.2.omega_i", "atoms.3.gamma_ge", "edges.1.c.g_ge",
+        "edges.2.c.g_ei",
+    ]),
+    st.sampled_from(["cavities.c.n_max", "atoms.9.omega_e", "edges.1.x.g_ge", "bogus"]),
+)
+
+
+def numbers(low, high):
+    """Mostly floats in [low, high], else zero, negative, extreme or not finite."""
+    return mostly(st.floats(low, high), ODD_FLOATS)
+
+
+@st.composite
+def device_flags(draw):
+    """--set and --n-max flags; ``@three`` stands for the three-atom device file."""
+    flags = ["--device", "@three"]
+    for _ in range(draw(st.integers(0, 2))):
+        flags += ["--set", f"{draw(PATHS)}={draw(numbers(0.0, 10.0))}"]
+    if draw(st.booleans()):
+        flags += [f"--n-max={draw(mostly(st.integers(2, 3), st.integers(-1, 1)))}"]
+    return flags
+
+
+@st.composite
+def spectrum_argv(draw):
+    argv = ["spectrum", *draw(device_flags()), "--sweep", draw(PATHS)]
+    start = draw(numbers(3.0, 9.0))
+    stop = start + draw(numbers(0.01, 1.0))
+    argv += [f"--range={start}:{stop}:{draw(mostly(st.integers(2, 4), st.integers(-1, 1)))}"]
+    if draw(st.booleans()):
+        argv += [f"--levels={draw(st.integers(-1, 8))},{draw(st.integers(-1, 8))}"]
+    return argv
+
+
+@st.composite
+def coupling_argv(draw):
+    order = draw(mostly(st.sampled_from([2, 4, 6, 8]), st.integers(-2, 7)))
+    return [
+        "coupling", *draw(device_flags()), "--initial", draw(LABELS),
+        "--final", draw(LABELS), f"--order={order}",
+    ]
+
+
+@st.composite
+def dynamics_argv(draw):
+    argv = ["dynamics", *draw(device_flags()), "--initial", draw(LABELS)]
+    if draw(st.booleans()):
+        argv += ["--final", draw(LABELS)]
+    samples = draw(mostly(st.integers(2, 5), st.integers(-1, 1)))
+    if draw(st.booleans()):
+        # a step no more than 100 times shorter than the sample interval,
+        # so even a very long run takes at most 100 steps per interval
+        t_final = draw(st.one_of(numbers(0.0, 20.0), st.just(1e300)))
+        interval = t_final / max(samples - 1, 1)
+        step = draw(mostly(st.floats(0.01, 2.0).map(lambda f: f * interval), ODD_FLOATS))
+        argv += [f"--t-final={t_final}", f"--step={step}"]
+    else:
+        # at the default step, a t_final of 1e300 is a valid run that never ends
+        t_final = draw(numbers(0.0, 20.0).filter(lambda t: t != 1e300))
+        argv += [f"--t-final={t_final}"]
+    if draw(st.booleans()):
+        argv += ["--method", draw(st.sampled_from(["auto", "split", "rk45"]))]
+    return argv + [f"--samples={samples}"]
+
+
+@st.composite
+def check_argv(draw):
+    argv = ["check", "--only", draw(mostly(st.just("fig2_spectrum"), st.just("warp_drive")))]
+    argv += [f"--threads={draw(mostly(st.integers(1, 2), st.integers(-1, 0)))}"]
+    if draw(st.booleans()):
+        argv += ["--scenario-file", draw(st.sampled_from(["@missing", "@garbage"]))]
+    return argv
+
+
+NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+
+
+class TestFuzzedBoundary:
+    """Any argv ends in exit 0, 1 or 2, without a traceback and without nan on stdout."""
+
+    @pytest.fixture(scope="class")
+    def files(self, device_files, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        (root / "garbage.json").write_text('{"name": ["oops",}\n')
+        return {
+            "@three": str(device_files["three"]),
+            "@missing": str(root / "missing.json"),
+            "@garbage": str(root / "garbage.json"),
+            "@outdir": str(root),
+        }
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=st.one_of(spectrum_argv(), coupling_argv(), dynamics_argv(), check_argv()))
+    @example(argv=["dynamics", "--device", "@three", "--initial", "0,e,g,g",
+                   "--t-final", "1e300", "--samples", "2", "--step", "1e-300"])
+    @example(argv=["coupling", "--device", "@three", "--initial", "0,e,g,g", "--final", "0,g,e,e",
+                   "--order", "4", "--set", "cavities.c.omega_c=1e300"])
+    @example(argv=["coupling", "--device", "@three", "--initial", "0,e,g,g", "--final", "0,g,e,e",
+                   "--order", "4", "--set", "edges.1.c.g_ge=1e-320"])
+    def test_exit_code_and_output(self, files, argv):
+        argv = [files.get(a, a) for a in argv]
+        if argv[0] != "check":
+            argv += ["--outdir", files["@outdir"]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()
+        assert not NAN.search(out.getvalue()), out.getvalue()

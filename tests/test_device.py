@@ -1,14 +1,18 @@
 """Device validation, Hamiltonian assembly, and dispersive diagnostics."""
 
+import contextlib
+import io
 import math
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycqed import device, hilbert, symmetry
+from cycqed import cli, device, hilbert, symmetry
+from cycqed.config import save_device
 from cycqed.device import (
     TRANSITIONS,
     AtomSpec,
@@ -489,8 +493,54 @@ def two_level_device() -> DeviceSpec:
     )
 
 
+@st.composite
+def level_changes(draw):
+    """A random device, and a path and value that change one subsystem's number of levels.
+
+    The value is valid for the spec on its own: an omega_i above omega_e on a
+    two-level atom, or another n_max of at least 2.
+    """
+    dev = draw(random_devices())
+    changes = [
+        (f"atoms.{atom.label}.omega_i", atom.omega_e + draw(st.floats(0.1, 5.0)))
+        for atom in dev.atoms
+        if atom.levels == 2
+    ]
+    for cav in dev.cavities:
+        n_max = draw(st.integers(2, 5).filter(lambda n, now=cav.n_max: n != now))
+        changes.append((f"cavities.{cav.label}.n_max", n_max))
+    return (dev, *draw(st.sampled_from(changes)))
+
+
 class TestLevelChangeRefused:
     """A value that changes a subsystem's number of levels is refused, as a new n_max is."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(level_changes())
+    def test_every_level_change_is_refused(self, case):
+        dev, path, x = case
+        model = Model(dev)
+        for call in (
+            lambda: model.at(path, x),
+            lambda: model.blocks(path, x),
+            lambda: sweep_spectrum(dev, path, [x]),
+            lambda: find_resonance(dev, path, (x, x + 1), (0, 1)),
+        ):
+            with pytest.raises(ValueError, match="changes the space dimension"):
+                call()
+        with tempfile.TemporaryDirectory() as root:
+            save_device(dev, f"{root}/device.json")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(
+                    ["spectrum", "--device", f"{root}/device.json", "--sweep", path,
+                     f"--range={x}:{x + 1}:2", "--outdir", root]
+                )
+        lines = err.getvalue().splitlines()
+        assert code == 2 and out.getvalue() == ""
+        # dispersive-regime warnings may come first; the refusal is the one error line
+        assert [line for line in lines if not line.startswith("warning: ")] == lines[-1:]
+        assert lines[-1].startswith("error: ")
 
     def test_omega_i_on_a_two_level_atom(self):
         dev = two_level_device()

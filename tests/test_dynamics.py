@@ -881,6 +881,54 @@ class TestVirtualSwap:
         assert max_state_deviation(fixed, exact) < 5e-6
 
 
+class TestStepPlan:
+    """Every sample interval takes the same n steps, so a run builds each propagator once."""
+
+    @staticmethod
+    def run(monkeypatch, dev, t_final, step):
+        """evolve on 31 samples; the distinct propagator lengths built and eigh calls made."""
+        built, solves = set(), []
+        propagator, eigh = dynamics._propagator, np.linalg.eigh
+
+        def spy_propagator(energies, basis, t):
+            built.add(t)
+            return propagator(energies, basis, t)
+
+        def spy_eigh(h):
+            solves.append(h.shape)
+            return eigh(h)
+
+        monkeypatch.setattr(dynamics, "_propagator", spy_propagator)
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        initial = bare_state(dev, build_space(dev), (0,), ("e",))
+        traj = evolve(dev, initial, t_final, samples=31, step=step)
+        return traj, built, solves
+
+    @pytest.mark.parametrize(
+        "kappa, step, lengths, steps",
+        [
+            # t_final 100 on 31 samples: dt = 100 / 30 is inexact, so the
+            # differences of the sample times vary in their last bits
+            (0.01, 5.0, 1, 30),  # n = 1: e^{-iHh/2} only
+            (0.01, 5.0 / 3.0, 2, 60),  # n = 2: e^{-iHh/2} and e^{-iHh}
+            (0.0, 5.0, 1, 30),  # no dissipator: e^{-iH dt}
+            (0.0, 5.0 / 3.0, 1, 30),
+        ],
+    )
+    def test_inexact_grid_builds_one_plan(self, monkeypatch, kappa, step, lengths, steps):
+        dev = jc_device(kappa=kappa, gamma=kappa)
+        traj, built, solves = self.run(monkeypatch, dev, 100.0, step)
+        assert len(set(np.diff(traj.times))) > 1
+        assert len(built) == lengths
+        assert traj.steps == steps
+        assert len(solves) == 1
+
+    def test_one_sample_builds_nothing(self, monkeypatch):
+        traj, built, solves = self.run(monkeypatch, jc_device(kappa=0.01), 0.0, 5.0)
+        assert len(traj.times) == 1 and traj.steps == 0
+        assert built == set() and solves == []
+
+
 class TestEvolvePlumbing:
     def test_zero_time_single_sample(self):
         dev = jc_device()
@@ -956,6 +1004,17 @@ class TestEvolvePlumbing:
         monkeypatch.setattr(dynamics, "Model", no_work)
         with pytest.raises(ValueError, match="step must be positive and finite"):
             evolve(dev, initial, 5.0, method="split", step=step)
+
+    def test_step_count_past_every_float_rejected_before_any_work(self, monkeypatch):
+        dev = jc_device()
+        initial = bare_state(dev, build_space(dev), (0,), ("e",))
+
+        def no_work(*args):
+            raise AssertionError("evolve did work before planning the steps")
+
+        monkeypatch.setattr(dynamics, "Model", no_work)
+        with pytest.raises(ValueError, match="an interval of 1e\\+300 needs inf steps of 1e-300"):
+            evolve(dev, initial, 1e300, samples=2, step=1e-300)
 
     def test_unknown_method_rejected(self):
         dev = jc_device()
