@@ -122,7 +122,7 @@ def _load_device(args) -> DeviceSpec:
         if ratio.flagged:
             print(
                 f"warning: atom {ratio.atom} / cavity {ratio.cavity} "
-                f"{ratio.transition} transition has g/Delta = {ratio.ratio:.3f}, "
+                f"{ratio.transition} transition has g/Delta = {ratio.ratio:.3g}, "
                 "outside the dispersive regime",
                 file=sys.stderr,
             )

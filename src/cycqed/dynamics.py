@@ -54,6 +54,9 @@ MAX_POSITIVITY_CHECKPOINTS = 10
 # step-halving validation option
 DEFAULT_SPLIT_STEP = 1.0
 DEFAULT_SPLIT_STEP_DIMENSIONLESS = 0.5
+# Most split steps one run may take: minutes of work on the smallest devices,
+# hours on the shipped ones.
+MAX_SPLIT_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -585,7 +588,8 @@ def evolve(
     step : float, optional
         Target fixed step of the split engine; must be positive and finite.
         Each sample interval dt takes n = ⌈dt / step⌉ steps of length
-        h = dt / n, planned once; an n too large to be finite is refused.
+        h = dt / n, planned once. An n too large to be finite is refused,
+        and so is a run of more than ``MAX_SPLIT_STEPS`` steps in all.
         h must also keep h·R_max below 2, where R_max is the largest
         diagonal entry of Σ_c O_c†O_c: past that, the dissipator kick
         diverges, and the run is refused up front.
@@ -618,6 +622,12 @@ def evolve(
     dt = t_final / (samples - 1) if t_final else 0.0
     times = np.arange(samples if t_final else 1) * dt
     n = _substeps(dt, step) if t_final else 0
+    if n * (samples - 1) > MAX_SPLIT_STEPS:
+        raise ValueError(
+            f"{samples - 1} sample intervals of {float(n):.3g} steps of {dt / n:.6g} "
+            f"exceed the {MAX_SPLIT_STEPS:.0e} split steps of one run; "
+            "use a shorter t_final or a longer step"
+        )
     model = Model(dev)
     space = model.space
     channels = build_collapse_channels(dev, space)

@@ -60,7 +60,9 @@ class TransitionPath:
 
     @property
     def contribution(self) -> float:
-        return float(np.prod(self.elements)) / float(np.prod(self.denominators))
+        # a denominator product past the largest float is inf: the path contributes 0
+        with np.errstate(over="ignore"):
+            return float(np.prod(self.elements)) / float(np.prod(self.denominators))
 
 
 @dataclass(frozen=True)

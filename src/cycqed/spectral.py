@@ -12,6 +12,16 @@ reported bare-state content instead.
 Every solve runs on the permutation-symmetry blocks of ``device.Model``:
 the full sorted spectrum is their union, block λ's counted d_λ times.
 
+A crossing probe solves only its two levels. Past the coarse scan, a
+search whose pair sits in the same blocks at both ends of its bracket
+solves only those blocks. On a block of at least ``PAIR_SPARSE_DIM``, a
+probe solves its pair by shift-invert Lanczos (Ericsson and Ruhe, Math.
+Comp. 35, 1251, 1980) about the last probe's pair midpoint σ; the inertia
+of the factor of H − σ counts the levels below σ (Sylvester's law; Parlett,
+The Symmetric Eigenvalue Problem, 1980, ch. 3), which fixes the found
+levels' sorted indices. A probe whose checks fail takes the dense solve,
+and one dense values-only solve at the root confirms the search.
+
 A gap minimum is a root of the difference of the two levels' slopes. By
 Hellmann–Feynman (Feynman, Phys. Rev. 56, 340, 1939) the slope of a level
 is v^T (dH/dx) v for its eigenvector v, so one partial solve gives both
@@ -42,6 +52,19 @@ COARSE_POINTS = 17
 
 # Largest stack of Hamiltonians a sweep solves in one call, in bytes.
 SWEEP_STACK_BYTES = 4 << 20
+
+# Smallest block whose crossing probes solve the pair by shift-invert Lanczos.
+# Per probe that beats the dense partial solve from about 170 states on: by
+# 1.2-1.35x at 180-189 and by 1.5x or more from 216, while at 162 the two
+# are even (timing table in ROADMAP item 17).
+PAIR_SPARSE_DIM = 170
+
+# Lanczos basis size of a sparse pair solve.
+PAIR_NCV = 8
+
+# A sparse pair's residuals, its distance from the shift, and its agreement
+# with the dense values at the root, relative to the largest |H|.
+PAIR_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -237,28 +260,114 @@ def _place(entry: int, blocks, copies) -> tuple[int, int, int]:
     raise IndexError(entry)
 
 
-def _solve_pair(blocks, sectors, levels, want_vectors=True, slope_ops=None):
-    """Two sorted levels of H from its blocks: (energies, vectors, slopes).
+def _pattern(*blocks) -> tuple[np.ndarray, ...]:
+    """CSC layout of every block whose nonzeros lie within those of ``blocks`` or on the diagonal.
 
-    The merged block spectra give the energies and place each level in its
-    block (for the one block W = 1 its index is its own, and the partial
-    solve gives the energies), where a partial solve by local index gives
-    its u; W_{λ,a} u is its eigenvector, and u^T D_λ u its slope for the
-    ``slope_ops`` D_λ.
+    Returns (indptr, row indices, positions in the flattened block, slots of
+    the diagonal). H is affine in a swept field, so the blocks at the two ends
+    of a bracket hold the nonzeros of every point between them.
+    """
+    size = len(blocks[0])
+    mask = np.eye(size, dtype=bool)
+    for h in blocks:
+        mask |= h != 0
+    columns, rows = np.nonzero(mask.T)  # column by column
+    indptr = np.searchsorted(columns, np.arange(size + 1)).astype(np.int32)
+    return indptr, rows.astype(np.int32), rows * size + columns, np.flatnonzero(rows == columns)
+
+
+def _sparse_pair(h: np.ndarray, pattern, j: int, sigma: float):
+    """Levels j and j + 1 of a symmetric block by shift-invert Lanczos about σ, or None.
+
+    ``splu`` of H − σ in symmetric mode with diagonal pivots factors it as
+    P L D Lᵀ Pᵀ, so by Sylvester's law of inertia its negative pivots count
+    the levels below σ. ``eigsh`` finds the two levels nearest σ with that
+    factor as its inverse, and the count turns them into sorted indices.
+    None unless every check holds: equal row and column permutations, no
+    zero pivot, σ clear of both levels, the indices j and j + 1, ARPACK
+    converged, and the Gram matrix and the residuals within
+    ``ORTHONORMALITY_TOL`` and ``PAIR_RTOL`` of the largest |H|.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+
+    indptr, rows, flat, diagonal = pattern
+    data = h.take(flat)
+    scale = PAIR_RTOL * float(np.max(np.abs(data)))
+    data[diagonal] -= sigma
+    shifted = sparse.csc_matrix((data, rows, indptr), shape=h.shape)
+    try:
+        factor = splu(
+            shifted, "MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError:  # exactly singular
+        return None
+    pivots = factor.U.diagonal()
+    if not np.array_equal(factor.perm_r, factor.perm_c) or not np.all(pivots):
+        return None
+    inverse = LinearOperator(h.shape, matvec=factor.solve, dtype=float)
+    start = np.random.default_rng(0).standard_normal(len(h))  # fixed: every probe is deterministic
+    try:
+        _, vectors = eigsh(shifted, k=2, sigma=sigma, OPinv=inverse, v0=start, ncv=PAIR_NCV, tol=0)
+    except ArpackError:  # no convergence too
+        return None
+    image = shifted @ vectors
+    offsets = np.sum(vectors * image, axis=0)  # Rayleigh quotients of H - σ
+    order = np.argsort(offsets)
+    offsets, vectors, image = offsets[order], vectors[:, order], image[:, order]
+    first = np.count_nonzero(pivots < 0) - np.count_nonzero(offsets < 0)
+    gram = vectors.T @ vectors
+    if (
+        first != j
+        or np.min(np.abs(offsets)) <= scale
+        or np.max(np.abs(gram - np.eye(2))) > ORTHONORMALITY_TOL
+        or np.max(np.abs(image - vectors * offsets)) > scale
+    ):
+        return None
+    _fix_signs(vectors)
+    return sigma + offsets, vectors
+
+
+def _block_pair(h, local, want_vectors, pattern=None, sigma=None):
+    """Levels ``local`` of one block: shift-invert about ``sigma`` when it certifies, else dense."""
+    j1, j2 = local
+    if pattern is not None and sigma is not None and j2 == j1 + 1:
+        found = _sparse_pair(h, pattern, j1, sigma)
+        if found is not None:
+            return found if want_vectors else (found[0], None)
+    return diagonalize(h, want_vectors, levels=local)
+
+
+def _solve_pair(
+    blocks, sectors, levels, want_vectors=True, slope_ops=None, places=None, patterns=None,
+    sigma=None,
+):
+    """Two sorted levels of H from its blocks: (energies, vectors, slopes, places).
+
+    Without ``places``, the merged block spectra give the energies and place
+    each level (λ, j, a) in its block; for the one block W = 1 its index is
+    its own, and the partial solve gives the energies. Given the ``places``
+    of an earlier merge, no merge runs and the energies come from the
+    partial solves. A partial solve by local index gives each level's u, by
+    shift-invert about ``sigma`` in a block with a sparse layout in
+    ``patterns`` when its certificate holds; W_{λ,a} u is its eigenvector,
+    and u^T D_λ u its slope for the ``slope_ops`` D_λ.
     """
     copies, energies = sectors.multiplicities, None
-    if copies == (1,):
-        places = [(0, level, 0) for level in levels]
-    else:
-        spectrum, order = _merge([diagonalize(h, want_vectors=False)[0] for h in blocks], copies)
-        energies = spectrum[list(levels)]
-        if not want_vectors:
-            return energies, None, None
-        places = [_place(int(order[level]), blocks, copies) for level in levels]
+    if places is None:
+        if copies == (1,):
+            places = tuple((0, level, 0) for level in levels)
+        else:
+            spectrum, order = _merge([diagonalize(h, want_vectors=False)[0] for h in blocks], copies)
+            energies = spectrum[list(levels)]
+            places = tuple(_place(int(order[level]), blocks, copies) for level in levels)
+            if not want_vectors:
+                return energies, None, None, places
+    patterns = patterns or [None] * len(blocks)
     (b1, j1, _), (b2, j2, _) = places
     # one partial solve per block; both copies of one eigenvalue share its column
     if b1 == b2:
-        solves = [(b1, *diagonalize(blocks[b1], want_vectors, levels=(j1, j2)))]
+        solves = [(b1, *_block_pair(blocks[b1], (j1, j2), want_vectors, patterns[b1], sigma))]
         at = [(0, 0), (0, int(j2 > j1))]
     else:
         solves = [(b, *diagonalize(blocks[b], want_vectors, levels=(j, j))) for b, j, _ in places]
@@ -266,12 +375,12 @@ def _solve_pair(blocks, sectors, levels, want_vectors=True, slope_ops=None):
     if energies is None:
         energies = np.array([solves[s][1][c] for s, c in at])
     if not want_vectors:
-        return energies, None, None
+        return energies, None, None, places
     vectors = [sectors.copies[b][a] @ solves[s][2][:, c] for (b, _, a), (s, c) in zip(places, at)]
     if slope_ops is None:
-        return energies, vectors, None
+        return energies, vectors, None, places
     slopes = [np.sum(v * (slope_ops[b] @ v), axis=0) for b, _, v in solves]
-    return energies, vectors, np.array([slopes[s][c] for s, c in at])
+    return energies, vectors, np.array([slopes[s][c] for s, c in at]), places
 
 
 def dressed_pair(model: Model, parameter: str, x: float, states) -> tuple[int, int]:
@@ -317,9 +426,21 @@ def find_resonance(
     the content at the crossing come from the solve at the root.
 
     With symmetry blocks, the merged block eigenvalues place each level in
-    its block, where the partial solve runs. Inside a degenerate pair from
-    the two-dimensional S_3 sector the content depends on an arbitrary
-    choice of eigenvector basis, as it does for a dense solver.
+    its block, where the partial solve runs. When the scan places the pair
+    alike at both neighbours of its minimum, Brent's probes solve only the
+    pair's block(s), with no merge. Inside a degenerate pair from the
+    two-dimensional S_3 sector the content depends on an arbitrary choice
+    of eigenvector basis, as it does for a dense solver.
+
+    On a block of at least ``PAIR_SPARSE_DIM`` states, every probe after
+    the first solves the pair by shift-invert Lanczos about the previous
+    probe's pair midpoint, and takes its sorted indices from the inertia of
+    the shifted factor; any failed check falls back to the dense partial
+    solve. At the root, one dense values-only solve (the merge of all
+    blocks, or the one block's partial solve) must place the pair as
+    assumed and agree with its energies to ``PAIR_RTOL`` of the largest
+    |H|; its energies give the gap. If it does not, the root search reruns
+    with a merge and a dense solve at every probe.
 
     Parameters
     ----------
@@ -347,38 +468,70 @@ def find_resonance(
     model = dev if isinstance(dev, Model) else Model(dev)
     _check_levels(pair, model.space.total_dim)
     sectors = model.sectors_for(parameter)
+    # the sparse layouts of the blocks that take sparse probes (ARPACK needs
+    # more states than Lanczos vectors), and the slope operators in place
+    slope_ops, patterns = model.blocks(parameter, hi), []
+    for op, base in zip(slope_ops, model.blocks(parameter, lo)):
+        large = len(op) >= max(PAIR_SPARSE_DIM, PAIR_NCV + 1)
+        patterns.append(_pattern(op, base) if large else None)
+        op -= base
+        op /= hi - lo
+    sigma = None  # the last probe's pair midpoint, the shift of the next sparse probe
 
-    def solve(x: float, want_vectors: bool = True, slope_ops=None):
-        blocks = model.blocks(parameter, x)
-        return _solve_pair(blocks, sectors, pair, want_vectors, slope_ops)
+    def solve(x, want_vectors=True, slopes=False, places=None, sparse=True):
+        nonlocal sigma
+        found = _solve_pair(
+            model.blocks(parameter, x), sectors, pair, want_vectors,
+            slope_ops if slopes else None, places, patterns if sparse else None, sigma,
+        )
+        sigma = 0.5 * (found[0][0] + found[0][1])
+        return found
 
     # the end points' vectors give the far content
     grid = np.linspace(lo, hi, COARSE_POINTS)
     scan = [solve(x, j in (0, COARSE_POINTS - 1)) for j, x in enumerate(grid)]
-    k = int(np.argmin([evals[1] - evals[0] for evals, _, _ in scan]))
+    k = int(np.argmin([evals[1] - evals[0] for evals, *_ in scan]))
     if k == 0 or k == COARSE_POINTS - 1:
         raise ValueError("no interior gap minimum in the bracket")
-    slope_ops = model.blocks(parameter, hi)
-    for op, base in zip(slope_ops, model.blocks(parameter, lo)):
-        op -= base
-        op /= hi - lo
-    # x -> (pair energies, pair vectors, pair slopes) of every solve
-    solved = {}
-
-    def slope_difference(x: float) -> float:
-        if x not in solved:
-            solved[x] = solve(x, slope_ops=slope_ops)
-        slopes = solved[x][2]
-        return float(slopes[1] - slopes[0])
 
     from scipy.optimize import brentq
 
-    a, b = grid[k - 1], grid[k + 1]
-    if slope_difference(a) * slope_difference(b) > 0:
-        # a third level crosses one of the pair inside: keep the half whose ends differ in sign
-        a, b = (a, grid[k]) if slope_difference(grid[k]) > 0 else (grid[k], b)
-    location = float(brentq(slope_difference, a, b, rtol=CROSSING_XTOL))
-    evals, vecs, _ = solved[location]
+    def root(places):
+        """Brent's root of the slope difference.
+
+        With ``places`` every probe solves only the placed blocks, sparse
+        where it can; without, every probe merges all blocks and solves densely.
+        """
+        nonlocal sigma
+        sigma = 0.5 * (scan[k - 1][0][0] + scan[k - 1][0][1])
+        # x -> (pair energies, pair vectors, pair slopes, places) of every solve
+        solved = {}
+
+        def slope_difference(x: float) -> float:
+            if x not in solved:
+                solved[x] = solve(x, slopes=True, places=places, sparse=places is not None)
+            slopes = solved[x][2]
+            return float(slopes[1] - slopes[0])
+
+        a, b = grid[k - 1], grid[k + 1]
+        if slope_difference(a) * slope_difference(b) > 0:
+            # a third level crosses one of the pair inside: keep the half whose ends differ in sign
+            a, b = (a, grid[k]) if slope_difference(grid[k]) > 0 else (grid[k], b)
+        location = float(brentq(slope_difference, a, b, rtol=CROSSING_XTOL))
+        return location, solved[location]
+
+    # equal placements at both neighbours let every probe solve only the pair's block(s)
+    places = scan[k - 1][3] if scan[k - 1][3] == scan[k + 1][3] else None
+    location, (evals, vecs, _, _) = root(places)
+    # unless the search is one dense block, confirm it with dense values at the root
+    if places is not None and (len(sectors.sizes) > 1 or patterns[0] is not None):
+        blocks = model.blocks(parameter, location)
+        confirmed, _, _, placed = _solve_pair(blocks, sectors, pair, want_vectors=False)
+        tolerance = PAIR_RTOL * max(float(np.max(np.abs(h))) for h in blocks)
+        if placed == places and np.max(np.abs(confirmed - evals)) <= tolerance:
+            evals = confirmed
+        else:
+            location, (evals, vecs, _, _) = root(None)
 
     def branch_content(vectors):
         return tuple(_dominant_content(model.space, v) for v in vectors)

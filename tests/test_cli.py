@@ -19,7 +19,7 @@ from conftest import (
     make_four_atom_device,
     make_three_atom_device,
 )
-from cycqed import cli
+from cycqed import cli, dynamics
 from cycqed.cli import main
 from cycqed.config import save_device
 from cycqed.scenarios import scenario_text
@@ -303,6 +303,35 @@ class TestCoupling:
         assert out.splitlines()[-1] == "closed form (chi3_one_cavity): chi/2pi = 0.000 MHz"
         assert "Traceback" not in err
 
+    def test_overflowing_denominator_product_prints_no_warning(self, device_files):
+        # a cavity at 1e300 GHz makes every path's denominator product inf
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycqed.cli", "coupling", "--device", device_files["three"],
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "4",
+             "--set", "cavities.c.omega_c=1e300"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout == (
+            "chi/2pi = 0.000 MHz, paths = 2, T = inf ns\n"
+            "  path 0: 0,e,g,g -> 1,g,g,g -> 0,g,g,i -> 1,g,g,e -> 0,g,e,e  [0 MHz]\n"
+            "  path 1: 0,e,g,g -> 1,g,g,g -> 0,g,i,g -> 1,g,e,g -> 0,g,e,e  [0 MHz]\n"
+            "closed form (chi3_one_cavity): chi/2pi = 0.000 MHz\n"
+        )
+
+    def test_huge_dispersive_ratio_warns_in_one_short_line(self, device_files, capsys):
+        code, _, err = run_cli(
+            ["coupling", "--device", device_files["three"],
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "4",
+             "--set", "edges.1.c.g_ge=1e300"],
+            capsys,
+        )
+        assert code == 0
+        assert err.count("\n") == 1 and len(err) < 120
+        assert err.startswith("warning: atom 1 / cavity c ge transition has g/Delta = ")
+        assert "e+29" in err
+
     def test_odd_order_is_usage_error(self, device_files, capsys):
         code, _, err = run_cli(
             ["coupling", "--device", device_files["three"],
@@ -464,6 +493,25 @@ class TestDynamics:
         assert out == ""
         assert err.startswith("error: evolution failed: ") and err.count("\n") == 1
         assert "needs inf steps" in err
+
+    def test_astronomical_step_total_is_one_error_line(
+        self, device_files, tmp_path, capsys, monkeypatch
+    ):
+        # 1e300 ns at the default 1 ns step: finite steps per interval, a run that never ends
+        def no_work(*args):
+            raise AssertionError("evolve assembled the model before refusing the run")
+
+        monkeypatch.setattr(dynamics, "Model", no_work)
+        code, out, err = run_cli(
+            ["dynamics", "--device", device_files["three"], "--initial", "0,e,g,g",
+             "--t-final", "1e300", "--outdir", tmp_path],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: evolution failed: ") and err.count("\n") == 1
+        assert "split steps of one run" in err
+        assert not (tmp_path / "dynamics.csv").exists()
 
     def test_full_run_summary_and_csv(self, device_files, tmp_path, capsys):
         code, out, err = run_cli(
@@ -837,8 +885,8 @@ def dynamics_argv(draw):
         step = draw(mostly(st.floats(0.01, 2.0).map(lambda f: f * interval), ODD_FLOATS))
         argv += [f"--t-final={t_final}", f"--step={step}"]
     else:
-        # at the default step, a t_final of 1e300 is a valid run that never ends
-        t_final = draw(numbers(0.0, 20.0).filter(lambda t: t != 1e300))
+        # at the default step, a t_final of 1e300 is refused before any work
+        t_final = draw(numbers(0.0, 20.0))
         argv += [f"--t-final={t_final}"]
     if draw(st.booleans()):
         argv += ["--method", draw(st.sampled_from(["auto", "split", "rk45"]))]
@@ -875,6 +923,8 @@ class TestFuzzedBoundary:
     @given(argv=st.one_of(spectrum_argv(), coupling_argv(), dynamics_argv(), check_argv()))
     @example(argv=["dynamics", "--device", "@three", "--initial", "0,e,g,g",
                    "--t-final", "1e300", "--samples", "2", "--step", "1e-300"])
+    @example(argv=["dynamics", "--device", "@three", "--initial", "0,e,g,g",
+                   "--t-final", "1e300"])
     @example(argv=["coupling", "--device", "@three", "--initial", "0,e,g,g", "--final", "0,g,e,e",
                    "--order", "4", "--set", "cavities.c.omega_c=1e300"])
     @example(argv=["coupling", "--device", "@three", "--initial", "0,e,g,g", "--final", "0,g,e,e",

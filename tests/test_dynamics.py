@@ -1016,6 +1016,19 @@ class TestEvolvePlumbing:
         with pytest.raises(ValueError, match="an interval of 1e\\+300 needs inf steps of 1e-300"):
             evolve(dev, initial, 1e300, samples=2, step=1e-300)
 
+    def test_step_total_past_the_bound_rejected_before_any_work(self, monkeypatch):
+        dev = jc_device()
+        initial = bare_state(dev, build_space(dev), (0,), ("e",))
+
+        def no_work(*args):
+            raise AssertionError("evolve did work before counting the steps")
+
+        monkeypatch.setattr(dynamics, "Model", no_work)
+        # one step over the bound, and a finite step count that would never end
+        for t_final, samples in ((dynamics.MAX_SPLIT_STEPS + 1.0, 2), (1e300, 201)):
+            with pytest.raises(ValueError, match="exceed the 1e\\+07 split steps of one run"):
+                evolve(dev, initial, t_final, samples=samples, step=1.0)
+
     def test_unknown_method_rejected(self):
         dev = jc_device()
         space = build_space(dev)

@@ -84,14 +84,15 @@ def test_no_module_imports_scipy_integrate():
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    # scipy.optimize costs about 0.27 s to import and scipy.linalg 0.07 s; the
-    # functions that need them import them when called
+    # scipy.optimize costs about 0.27 s to import, scipy.linalg 0.07 s and
+    # scipy.sparse.linalg 0.05 s; the functions that need them import them when called
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = (
         "import sys, cycqed; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'linalg'])))"
+        "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'linalg']) "
+        "or m.split('.')[:3] == ['scipy', 'sparse', 'linalg']))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

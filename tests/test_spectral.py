@@ -11,6 +11,7 @@ on the high side only.
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -19,16 +20,21 @@ from cycqed.device import (
     CavitySpec,
     CouplingEdge,
     DeviceSpec,
+    Model,
     bare_energy_vector,
     build_interaction_rwa,
     build_space,
     parse_state_label,
     with_parameter,
 )
+from cycqed import spectral
+from cycqed.perturbation import matched_control_frequency
+from cycqed.scenarios import CROSSING_HALFWIDTH, load_scenario
 from cycqed.spectral import (
     COARSE_POINTS,
     CrossingReport,
     diagonalize,
+    dressed_pair,
     find_resonance,
     sweep_spectrum,
 )
@@ -248,17 +254,28 @@ def crossing_devices(draw):
     return dev, levels, (match - 0.02, match + 0.02)
 
 
+def assert_matches_golden(case):
+    dev, levels, bracket = case
+    ref = golden_reference(dev, "atoms.1.omega_e", bracket, levels)
+    if ref is None:
+        reject()
+    rep = find_resonance(dev, "atoms.1.omega_e", bracket, levels)
+    assert rep.location == pytest.approx(ref[0], rel=1e-6)
+    assert rep.gap <= ref[1] * (1 + 1e-9)
+
+
 class TestRootSearchAgainstGolden:
     @settings(deadline=None, max_examples=25)
     @given(crossing_devices())
     def test_location_and_gap_match_golden_section(self, case):
-        dev, levels, bracket = case
-        ref = golden_reference(dev, "atoms.1.omega_e", bracket, levels)
-        if ref is None:
-            reject()
-        rep = find_resonance(dev, "atoms.1.omega_e", bracket, levels)
-        assert rep.location == pytest.approx(ref[0], rel=1e-6)
-        assert rep.gap <= ref[1] * (1 + 1e-9)
+        assert_matches_golden(case)
+
+    @settings(deadline=None, max_examples=25)
+    @given(crossing_devices())
+    def test_sparse_probes_match_golden_section(self, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "PAIR_SPARSE_DIM", 0)
+            assert_matches_golden(case)
 
     def test_third_level_crossing_inside_the_scan_bracket(self):
         # level 4 crosses level 3 just above the gap minimum of levels 2 and 3, so the
@@ -294,6 +311,91 @@ class TestRootSearchAgainstGolden:
         assert rep.location == pytest.approx(CROSSING_LOCATION, abs=5e-5)
         assert len(calls) <= COARSE_POINTS + 12
         assert set(calls) == {(6, 7)}
+
+
+class TestSparsePairs:
+    """Shift-invert pair solves against the dense partial solve they replace."""
+
+    @pytest.fixture(scope="class")
+    def two_cavity(self):
+        """The shipped d = 432 device, its pair, bracket, sectors and the search's slope blocks."""
+        scenario = load_scenario("three_atom_two_cavity")
+        dev, plan = scenario.device, scenario.plan
+        model = Model(dev)
+        path = f"atoms.{dev.atoms[0].label}.omega_e"
+        matched = matched_control_frequency(dev)
+        states = [parse_state_label(dev, model.space, s).index for s in (plan.initial, plan.final)]
+        pair = dressed_pair(model, path, matched, states)
+        lo, hi = matched - CROSSING_HALFWIDTH, matched + CROSSING_HALFWIDTH
+        ends = model.blocks(path, lo), model.blocks(path, hi)
+        ops = [(b - a) / (hi - lo) for a, b in zip(*ends)]
+        return model, path, pair, (lo, hi), ops, [spectral._pattern(ends[0][0], ends[1][0])]
+
+    def test_pair_matches_dense_across_the_bracket(self, two_cavity):
+        model, path, pair, (lo, hi), ops, patterns = two_cavity
+        sectors = model.sectors_for(path)
+        assert sectors.sizes == (432,) and spectral.PAIR_SPARSE_DIM <= 432
+        step = (hi - lo) / (spectral.COARSE_POINTS - 1)
+        for x in np.linspace(lo + step, hi, 7):
+            # the shift is the pair midpoint one scan step back, as in the search
+            previous = diagonalize(model.blocks(path, x - step)[0], False, levels=pair)[0]
+            sigma = 0.5 * (previous[0] + previous[1])
+            blocks = model.blocks(path, x)
+            assert spectral._sparse_pair(blocks[0], patterns[0], pair[0], sigma) is not None
+            found, vectors, slopes, _ = spectral._solve_pair(
+                blocks, sectors, pair, slope_ops=ops, patterns=patterns, sigma=sigma
+            )
+            energies, reference, reference_slopes, _ = spectral._solve_pair(
+                blocks, sectors, pair, slope_ops=ops
+            )
+            assert np.abs(found - energies).max() <= 1e-12 * np.abs(energies).max()
+            for v, w in zip(vectors, reference):
+                assert abs(v @ w) >= 1 - 1e-10
+            assert slopes == pytest.approx(reference_slopes, abs=1e-9)
+
+    def test_failed_certificate_returns_the_dense_pair(self, two_cavity):
+        model, path, pair, (lo, hi), ops, patterns = two_cavity
+        sectors = model.sectors_for(path)
+        blocks = model.blocks(path, 0.5 * (lo + hi))
+        full = np.linalg.eigvalsh(blocks[0])
+        dense_pair = spectral._solve_pair(blocks, sectors, pair, slope_ops=ops)
+        for sigma in (
+            full[pair[0]],  # on an eigenvalue
+            0.5 * (full[pair[0] + 5] + full[pair[0] + 6]),  # the pair outside the window
+        ):
+            assert spectral._sparse_pair(blocks[0], patterns[0], pair[0], sigma) is None
+            found = spectral._solve_pair(
+                blocks, sectors, pair, slope_ops=ops, patterns=patterns, sigma=sigma
+            )
+            for got, want in zip(found[:3], dense_pair[:3]):
+                assert np.array_equal(np.asarray(got), np.asarray(want))
+
+    def test_failed_root_confirmation_reruns_the_dense_search(self, monkeypatch):
+        dev = make_crossing_sweep_device()
+        args = (dev, "atoms.1.omega_e", (1.02, 1.07), (6, 7))
+        reference = find_resonance(*args)  # d = 162 stays below the crossover: dense
+        monkeypatch.setattr(spectral, "PAIR_SPARSE_DIM", 0)
+        roots, solve, root = [], spectral._solve_pair, scipy.optimize.brentq
+
+        def brentq(*a, **kw):
+            roots.append("start")
+            location = root(*a, **kw)
+            roots.append("end")
+            return location
+
+        def disagreeing(*a, **kw):
+            found = solve(*a, **kw)
+            if roots[-1:] == ["end"]:  # the confirmation at the root
+                roots.append("confirmed")
+                return (found[0] + 1.0, *found[1:])
+            return found
+
+        monkeypatch.setattr(scipy.optimize, "brentq", brentq)
+        monkeypatch.setattr(spectral, "_solve_pair", disagreeing)
+        rep = find_resonance(*args)
+        assert roots == ["start", "end", "confirmed", "start", "end"]
+        assert (rep.location, rep.gap) == (reference.location, reference.gap)
+        assert rep.content_at == reference.content_at
 
 
 class TestBranchShape:

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.optimize
 from scipy import sparse
 
 from conftest import make_four_atom_device, make_three_atom_device, make_two_cavity_device
-from cycqed import device
+from cycqed import device, spectral
 from cycqed.device import AtomSpec, CavitySpec, CouplingEdge, DeviceSpec, Model
 from cycqed.scenarios import locate_crossing
 from cycqed.spectral import _solve_pair, diagonalize, dressed_pair, find_resonance, sweep_spectrum
@@ -98,33 +99,44 @@ class TestBlocksAgainstDense:
     @settings(deadline=None, max_examples=15)
     @given(class_devices(class_levels=st.just(3)))
     def test_find_resonance_matches_dense_search(self, dev):
-        path = "atoms.1.omega_e"
-        match = dev.atoms[0].omega_e
-        size = len(dev.atoms) - 1
-        model = Model(dev)
-        states = [
-            device.parse_state_label(dev, model.space, label).index
-            for label in ("0,e" + ",g" * size, "0,g" + ",e" * size)
-        ]
-        pair = dense(dressed_pair, dense(Model, dev), path, match, states)
-        assert dressed_pair(model, path, match, states) == pair
-        bracket = (match - 0.02, match + 0.02)
+        assert_search_matches_dense(dev)
 
-        def outcome(call, *args):
-            try:
-                return call(*args)
-            except ValueError as exc:
-                return str(exc)
+    @settings(deadline=None, max_examples=15)
+    @given(class_devices(class_levels=st.just(3)))
+    def test_sparse_probes_match_dense_search(self, dev):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "PAIR_SPARSE_DIM", 0)
+            assert_search_matches_dense(dev)
 
-        blocks = outcome(find_resonance, dev, path, bracket, pair)
-        reference = outcome(dense, find_resonance, dev, path, bracket, pair)
-        if isinstance(reference, str):
-            assert blocks == reference
-            return
-        assert blocks.location == pytest.approx(reference.location, rel=1e-9)
-        # at an exact crossing the gap is the search's own error, near 1e-11
-        if max(blocks.gap, reference.gap) > 1e-8:
-            assert blocks.gap == pytest.approx(reference.gap, rel=1e-6)
+
+def assert_search_matches_dense(dev):
+    path = "atoms.1.omega_e"
+    match = dev.atoms[0].omega_e
+    size = len(dev.atoms) - 1
+    model = Model(dev)
+    states = [
+        device.parse_state_label(dev, model.space, label).index
+        for label in ("0,e" + ",g" * size, "0,g" + ",e" * size)
+    ]
+    pair = dense(dressed_pair, dense(Model, dev), path, match, states)
+    assert dressed_pair(model, path, match, states) == pair
+    bracket = (match - 0.02, match + 0.02)
+
+    def outcome(call, *args):
+        try:
+            return call(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    blocks = outcome(find_resonance, dev, path, bracket, pair)
+    reference = outcome(dense, find_resonance, dev, path, bracket, pair)
+    if isinstance(reference, str):
+        assert blocks == reference
+        return
+    assert blocks.location == pytest.approx(reference.location, rel=1e-9)
+    # at an exact crossing the gap is the search's own error, near 1e-11
+    if max(blocks.gap, reference.gap) > 1e-8:
+        assert blocks.gap == pytest.approx(reference.gap, rel=1e-6)
 
 
 def kron_maps(sectors) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
@@ -204,6 +216,38 @@ class TestShippedDevices:
         for ours, theirs in zip(blocks.content_at, reference.content_at):
             assert list(ours.values()) == pytest.approx(list(theirs.values()), abs=1e-9)
 
+    def test_root_iterations_solve_only_the_pair_block(self, monkeypatch):
+        # after the scan fixes the bracket, Brent's probes solve the pair in the
+        # 180 block alone, and one merge of all three blocks confirms the root
+        dev = make_four_atom_device()
+        reference = dense(locate_crossing, dev, "0,e,g,g,g", "0,g,e,e,e")
+        calls, phase, solve, root = [], ["scan"], diagonalize, scipy.optimize.brentq
+        sparse_pair = spectral._sparse_pair
+
+        def counted(h, want_vectors=True, levels=None):
+            calls.append((phase[0], h.shape[-1], levels is not None))
+            return solve(h, want_vectors, levels)
+
+        def counted_sparse(h, *args):
+            calls.append((phase[0], h.shape[-1], True))
+            return sparse_pair(h, *args)
+
+        def brentq(*args, **kwargs):
+            phase[0] = "root"
+            location = root(*args, **kwargs)
+            phase[0] = "confirm"
+            return location
+
+        monkeypatch.setattr(spectral, "diagonalize", counted)
+        monkeypatch.setattr(spectral, "_sparse_pair", counted_sparse)
+        monkeypatch.setattr(scipy.optimize, "brentq", brentq)
+        report = locate_crossing(dev, "0,e,g,g,g", "0,g,e,e,e")
+        assert report.location == pytest.approx(reference.location, rel=1e-12)
+        probes = [(size, partial) for at, size, partial in calls if at == "root"]
+        assert len(probes) >= 5 and set(probes) == {(180, True)}
+        confirm = [(size, partial) for at, size, partial in calls if at == "confirm"]
+        assert sorted(confirm) == [(18, False), (144, False), (180, False)]
+
     def test_exact_crossing_between_sectors(self):
         # levels 26 and 27 swap sectors inside the bracket, with no repulsion; the
         # block partial solves there can return their energies in either order
@@ -247,7 +291,7 @@ class TestPartialSolves:
         h = model.at("atoms.1.omega_e", 8.9)
         energies = np.linalg.eigvalsh(h)
         level = int(np.argmin(np.diff(energies)))  # a pair from the two-dimensional sector
-        found, vectors, _ = _solve_pair(
+        found, vectors, *_ = _solve_pair(
             model.blocks("atoms.1.omega_e", 8.9), model.sectors, (level, level + 1)
         )
         assert found == pytest.approx(energies[level : level + 2], abs=1e-12)
