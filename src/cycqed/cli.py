@@ -35,6 +35,7 @@ from .perturbation import (
     PerturbationError,
     closed_form_chi,
     effective_coupling,
+    enumerate_paths,
 )
 from .scenarios import (
     SCENARIO_NAMES,
@@ -59,6 +60,11 @@ class ComputationError(Exception):
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _short(value: float, spec: str) -> str:
+    """``value`` in the fixed-point ``spec`` below 1e15, past that (or infinite) as ``.3e``."""
+    return format(value, spec) if abs(value) < 1e15 else f"{value:.3e}"
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -234,17 +240,17 @@ def cmd_coupling(args) -> int:
         coupling = effective_coupling(dev, initial, final, args.order)
     except PerturbationError as exc:
         raise ComputationError(str(exc)) from exc
-    if not coupling.paths:
+    if not coupling.path_count:
         raise ComputationError(
             f"no order-{args.order} path couples {initial.label()} and {final.label()}"
         )
     rate_unit, time_unit = _state_units(dev)
     chi = dev.angular_to_rate(abs(coupling.lambda_eff))
     print(
-        f"chi/2pi = {chi:.3f} {rate_unit}, paths = {len(coupling.paths)}, "
-        f"T = {coupling.period:.0f} {time_unit}"
+        f"chi/2pi = {_short(chi, '.3f')} {rate_unit}, paths = {coupling.path_count}, "
+        f"T = {_short(coupling.period, '.0f')} {time_unit}"
     )
-    for k, path in enumerate(coupling.paths):
+    for k, path in enumerate(enumerate_paths(dev, initial, final, args.order).paths):
         chain = " -> ".join(state.label() for state in path.states)
         weight = dev.angular_to_rate(path.contribution)
         print(f"  path {k}: {chain}  [{weight:.6g} {rate_unit}]")
@@ -255,7 +261,8 @@ def cmd_coupling(args) -> int:
             closed = closed_form_chi(dev, kind)
         except ValueError:
             continue
-        line = f"closed form ({kind}): chi/2pi = {dev.angular_to_rate(abs(closed)):.3f} {rate_unit}"
+        closed_chi = _short(dev.angular_to_rate(abs(closed)), ".3f")
+        line = f"closed form ({kind}): chi/2pi = {closed_chi} {rate_unit}"
         # a closed form that underflows to 0 leaves nothing to compare against
         if closed:
             rel = abs(abs(closed) - abs(coupling.lambda_eff)) / abs(closed)

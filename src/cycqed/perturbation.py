@@ -5,8 +5,12 @@ one through 2n - 1 virtual intermediates, each step being a single nonzero
 interaction matrix element. Every path contributes the product of its
 matrix elements divided by the product of energy defects (E_initial minus
 the intermediate energy), and the effective coupling is the sum over paths.
-Closed forms for the three device topologies of interest re-derive the same
-numbers and serve as cross-checks.
+That sum is the bare-denominator resolvent expansion <f|V(GV)^(2n-1)|i>
+(Cohen-Tannoudji, Dupont-Roc and Grynberg, Atom-Photon Interactions, 1992,
+ch. III), taken as one recursion over the steps that also counts the paths
+exactly; ``enumerate_paths`` lists them one by one on demand. Closed forms
+for the three device topologies of interest re-derive the same numbers and
+serve as cross-checks.
 
 Second-order level shifts (ac-Stark and Lamb type renormalizations of the
 bare energies) come from the standard single-virtual-photon sums and feed
@@ -18,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .device import DISPERSIVE_THRESHOLD, DeviceSpec, Model, with_parameter
-from .hilbert import BareState, CompositeSpace, LEVEL_NAMES
+from .hilbert import BareState, LEVEL_NAMES
 
 # Intermediates closer to the initial energy than floor_factor times the
 # smallest coupling make the path sum diverge; they are rejected loudly.
@@ -66,35 +71,19 @@ class TransitionPath:
 
 
 @dataclass(frozen=True)
-class RejectedPath:
-    """Prefix of a path whose next intermediate sat below the degeneracy floor."""
-
-    states: tuple[BareState, ...]
-    offender: BareState
-    denominator: float
-
-
-@dataclass(frozen=True)
-class PathSearchResult:
-    """Accepted paths plus diagnostics for floor-rejected prefixes."""
-
-    paths: tuple[TransitionPath, ...]
-    rejected: tuple[RejectedPath, ...]
-
-
-@dataclass(frozen=True)
 class EffectiveCoupling:
     """Path-sum result for one degenerate pair.
 
     ``lambda_eff`` is the signed coupling in angular frequency units; the
     sign is physical (it sets the phase of the generated entangled state).
+    ``path_count`` is the exact number of paths in the sum.
     """
 
     initial: BareState
     final: BareState
     order: int
     lambda_eff: float
-    paths: tuple[TransitionPath, ...]
+    path_count: int
 
     @property
     def period(self) -> float:
@@ -105,49 +94,61 @@ class EffectiveCoupling:
         return math.pi / abs(self.lambda_eff) if self.lambda_eff else math.inf
 
 
-def enumerate_paths(
-    space: CompositeSpace,
-    energies: np.ndarray,
-    hi: np.ndarray,
-    initial: BareState,
-    final: BareState,
-    order: int,
-    match_tol: float | None = None,
-) -> PathSearchResult:
-    """Enumerate all virtual paths of a given order between degenerate states.
+@dataclass(frozen=True)
+class Listing:
+    """``count`` items listed on demand: ``len`` gives the exact count below 2**63."""
+
+    count: int
+    items: Callable[[], Iterator]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator:
+        return self.items()
+
+
+class PathSum(NamedTuple):
+    """A path sum, counted without listing its paths.
+
+    ``paths`` lists the accepted paths as ``TransitionPath``s in lexicographic
+    order of their intermediates. ``rejected`` gives (offender, defect) once
+    per path prefix rejected at the degeneracy floor, the nearest offender
+    first (the smallest |defect|, the lowest basis index among equals).
+    perfbench's tracer counts kept and rejected paths by ``len`` of the two.
+    """
+
+    lambda_eff: float
+    paths: Listing
+    rejected: Listing
+
+
+def enumerate_paths(dev: DeviceSpec, initial: BareState, final: BareState, order: int) -> PathSum:
+    """Sum and count every virtual path of a given order between two degenerate states.
 
     Parameters
     ----------
-    space : CompositeSpace
-    energies : numpy.ndarray
-        Bare energy of every basis state (the diagonal of H0).
-    hi : numpy.ndarray
-        Real interaction Hamiltonian on the same space.
+    dev : DeviceSpec
     initial, final : BareState
-        Two distinct states, degenerate within 10 times the largest
-        coupling element.
+        Two distinct states, degenerate within 10 times the largest bare
+        coupling (Fock factors inflate the matrix elements).
     order : int
         Number of interaction steps (even for the exchange processes here).
-    match_tol : float, optional
-        Tolerance for the initial/final degeneracy check; defaults to 10
-        times the largest interaction element. Callers that know the bare
-        coupling constants should pass 10 times the largest of those
-        instead, since Fock factors inflate the matrix elements.
-
-    Returns
-    -------
-    PathSearchResult
-        Paths sorted lexicographically by intermediate basis indices, plus
-        rejected-path diagnostics. The initial and final states themselves
-        are excluded as intermediates (they span the degenerate subspace).
 
     Notes
     -----
+    lambda = <f|V(GV)^(order-1)|i>, with G = 1/(E_initial - E) on the allowed
+    intermediates and 0 elsewhere. One product with V's nonzeros per step
+    carries, for each state, the summed amplitude of the path prefixes that
+    end there and their exact number (Python ints: the count outgrows float64
+    near order 30), so the work is O(order nnz(V)) at any path count.
     Intermediates may hold at most order/2 photons (no process of this
-    length can create more), which keeps the search polynomial. A
-    breadth-first distance map to the final state prunes dead branches.
-    An intermediate whose energy defect is below the degeneracy floor,
-    1e-3 times the smallest nonzero interaction element, is rejected.
+    length can create more), and the initial and final states, which span
+    the degenerate subspace, are never intermediates. A state whose energy
+    defect is below the degeneracy floor, 1e-3 times the smallest nonzero
+    interaction element, rejects each prefix that reaches it within the
+    remaining steps of the final state. Listing the paths is a depth-first
+    walk over the same masks, so its work grows with the path count.
     """
     if order < 2:
         raise PerturbationError("order must be at least 2")
@@ -155,76 +156,85 @@ def enumerate_paths(
         raise PerturbationError(
             f"initial and final state are both {initial.label()}; a coupling needs two states"
         )
-    nonzero = np.abs(hi) > 0
-    magnitudes = np.abs(hi[nonzero])
-    if magnitudes.size == 0:
-        return PathSearchResult((), ())
-    floor = FLOOR_FACTOR * float(magnitudes.min())
-    if match_tol is None:
-        match_tol = MATCH_FACTOR * float(np.max(np.abs(hi))) if nonzero.any() else 0.0
-    e_ref = energies[initial.index]
-    if abs(e_ref - energies[final.index]) > match_tol:
+    model = Model(dev)
+    space, hi = model.space, model.interaction
+    # row-major like np.nonzero(hi), and several times faster on a large dense V
+    rows, cols = divmod(np.flatnonzero(hi != 0), space.total_dim)
+    if not rows.size:
+        return PathSum(0.0, Listing(0, lambda: iter(())), Listing(0, lambda: iter(())))
+    elements = hi[rows, cols]
+    energies = sum(model.terms)
+    defects = energies[initial.index] - energies
+    g_max = max(dev.rate_to_angular(e.g(t)) for e in dev.edges for t in ("ge", "gi", "ei"))
+    match_tol = MATCH_FACTOR * g_max
+    if abs(defects[final.index]) > match_tol:
         raise PerturbationError(
             f"states {initial.label()} and {final.label()} are not degenerate "
-            f"(defect {abs(e_ref - energies[final.index]):.3e} exceeds {match_tol:.3e})"
+            f"(defect {abs(defects[final.index]):.3e} exceeds {match_tol:.3e})"
         )
-
-    neighbors = [np.flatnonzero(nonzero[:, col]) for col in range(space.total_dim)]
     photons = sum(
         occ for sub, occ in zip(space.subsystems, space.occupation_arrays()) if sub.kind == "cavity"
     )
-    cap = order // 2
+    allowed = photons <= order // 2
+    allowed[[initial.index, final.index]] = False
+    below = np.abs(defects) < FLOOR_FACTOR * float(np.abs(elements).min())
+    # masks[j]: the allowed states at most order - 1 - j steps from the final one
+    near = np.arange(space.total_dim) == final.index
+    masks = []
+    for _ in range(order - 1):
+        near[rows[near[cols]]] = True
+        masks.append(allowed & near)
+    masks.reverse()
+    keep = [m & ~below for m in masks]
 
-    # BFS distance to the final state for dead-branch pruning
-    dist = np.full(space.total_dim, space.total_dim + order, dtype=int)
-    dist[final.index] = 0
-    frontier = [final.index]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for other in neighbors[node]:
-                if dist[other] > dist[node] + 1:
-                    dist[other] = dist[node] + 1
-                    nxt.append(int(other))
-        frontier = nxt
+    def hop(vector: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """V (or with no weights its 0/1 pattern) times vector, over the live nonzeros."""
+        live = (vector != 0)[cols]
+        out = np.zeros_like(vector)
+        terms = vector[cols[live]]
+        np.add.at(out, rows[live], terms if weights is None else weights[live] * terms)
+        return out
 
-    paths: list[tuple[tuple[int, ...], TransitionPath]] = []
-    rejected: list[RejectedPath] = []
-    endpoint = {initial.index, final.index}
+    amplitude = np.zeros(space.total_dim)
+    amplitude[initial.index] = 1.0
+    count = np.zeros(space.total_dim, dtype=object)
+    count[initial.index] = 1
+    hits = np.zeros_like(count)
+    # a defect product past the largest float sends its prefixes to inf or 0
+    with np.errstate(over="ignore"):
+        for mask, kept in zip(masks, keep):
+            amplitude = np.divide(
+                hop(amplitude, elements), defects, out=np.zeros_like(amplitude), where=kept
+            )
+            reached, floored = hop(count), mask & below
+            hits[floored] += reached[floored]
+            count = np.where(kept, reached, 0)
+        lam = float(hop(amplitude, elements)[final.index])
+    offenders = sorted(np.flatnonzero(hits), key=lambda k: (abs(defects[k]), k))
 
-    def state_of(idx: int) -> BareState:
-        return BareState.at(space, idx, energies[idx])
-
-    def walk(node: int, steps_left: int, seq: list[int]) -> None:
-        if steps_left == 1:
-            if nonzero[final.index, node]:
-                chain = seq + [final.index]
-                elements = tuple(hi[b, a] for a, b in zip(chain, chain[1:]))
-                denoms = tuple(float(e_ref - energies[j]) for j in chain[1:-1])
-                states = tuple(state_of(j) for j in chain)
-                paths.append((tuple(chain[1:-1]), TransitionPath(states, elements, denoms)))
-            return
-        for other in neighbors[node]:
-            other = int(other)
-            if other in endpoint:
-                continue
-            if photons[other] > cap or dist[other] > steps_left - 1:
-                continue
-            defect = e_ref - energies[other]
-            if abs(defect) < floor:
-                rejected.append(
-                    RejectedPath(
-                        tuple(state_of(j) for j in seq),
-                        state_of(other),
-                        float(defect),
-                    )
+    def extend(chain: list[int]) -> Iterator[TransitionPath]:
+        if len(chain) == order:
+            if hi[final.index, chain[-1]]:
+                full = chain + [final.index]
+                yield TransitionPath(
+                    tuple(BareState.at(space, k, energies[k]) for k in full),
+                    tuple(hi[b, a] for a, b in zip(full, full[1:])),
+                    tuple(float(defects[k]) for k in chain[1:]),
                 )
-                continue
-            walk(other, steps_left - 1, seq + [other])
+            return
+        for other in np.flatnonzero((hi[:, chain[-1]] != 0) & keep[len(chain) - 1]):
+            yield from extend(chain + [int(other)])
 
-    walk(initial.index, order, [initial.index])
-    paths.sort(key=lambda item: item[0])
-    return PathSearchResult(tuple(p for _, p in paths), tuple(rejected))
+    def rejections() -> Iterator[tuple[BareState, float]]:
+        for k in offenders:
+            for _ in range(hits[k]):
+                yield BareState.at(space, k, energies[k]), float(defects[k])
+
+    return PathSum(
+        lam,
+        Listing(int(hop(count)[final.index]), lambda: extend([initial.index])),
+        Listing(int(sum(hits)), rejections),
+    )
 
 
 def effective_coupling(
@@ -249,24 +259,17 @@ def effective_coupling(
     Returns
     -------
     EffectiveCoupling
+        The sum and the exact path count of ``enumerate_paths``.
     """
-    model = Model(dev)
-    g_max = max(
-        dev.rate_to_angular(edge.g(t)) for edge in dev.edges for t in ("ge", "gi", "ei")
-    )
-    found = enumerate_paths(
-        model.space, sum(model.terms), model.interaction, initial, final, order,
-        match_tol=MATCH_FACTOR * g_max,
-    )
-    if strict and found.rejected:
-        worst = min(found.rejected, key=lambda r: abs(r.denominator))
+    found = enumerate_paths(dev, initial, final, order)
+    if strict and found.rejected.count:
+        offender, defect = next(iter(found.rejected))
         raise PerturbationError(
-            f"{len(found.rejected)} path(s) hit the degeneracy floor; "
-            f"nearest offender {worst.offender.label()} with defect "
-            f"{worst.denominator:.3e} (perturbation theory invalid here)"
+            f"{found.rejected.count} path(s) hit the degeneracy floor; "
+            f"nearest offender {offender.label()} with defect "
+            f"{defect:.3e} (perturbation theory invalid here)"
         )
-    lam = float(sum(p.contribution for p in found.paths))
-    return EffectiveCoupling(initial, final, order, lam, found.paths)
+    return EffectiveCoupling(initial, final, order, found.lambda_eff, found.paths.count)
 
 
 # -- closed-form couplings ----------------------------------------------------
@@ -315,79 +318,50 @@ def closed_form_chi(dev: DeviceSpec, which: str) -> float:
     ang_f = dev.freq_to_angular
     ang_g = dev.rate_to_angular
 
-    if which == "chi3_one_cavity":
-        _require(len(dev.cavities) == 1 and len(dev.atoms) == 3, "needs 1 cavity and 3 atoms")
-        control, a2, a3 = dev.atoms
-        _require(a2.levels == 3 and a3.levels == 3, "spectators must be three-level")
-        _identical_spectators(dev, (a2, a3))
-        cav = dev.cavities[0]
-        e1 = dev.edges_of_atom(control.label)[0]
-        e2 = dev.edges_of_atom(a2.label)[0]
-        e3 = dev.edges_of_atom(a3.label)[0]
-        numerator = 2.0 * ang_g(e1.g_ge) * ang_g(e2.g_gi) * ang_g(e2.g_ei) * ang_g(e3.g_ge)
-        w_e1 = ang_f(control.omega_e)
-        denom = (
-            (w_e1 - ang_f(cav.omega_c))
-            * (w_e1 - ang_f(a2.omega_i))
-            * (w_e1 - ang_f(a2.omega_e) - ang_f(cav.omega_c))
-        )
-        return numerator / denom
+    if which != "chi3_two_cavity":
+        # a chain through the spectators on one cavity: every middle one
+        # goes g -> i -> e, and the factorial counts their orderings
+        n = 3 if which == "chi3_one_cavity" else 4
+        _require(len(dev.cavities) == 1 and len(dev.atoms) == n, f"needs 1 cavity and {n} atoms")
+        control, *spectators = dev.atoms
+        _require(all(a.levels == 3 for a in spectators), "spectators must be three-level")
+        _identical_spectators(dev, spectators)
+        edges = [dev.edges_of_atom(a.label)[0] for a in dev.atoms]
+        w_e1, w_c = ang_f(control.omega_e), ang_f(dev.cavities[0].omega_c)
+        numerator = math.factorial(n - 1) * ang_g(edges[0].g_ge)
+        denom = w_e1 - w_c
+        excited = 0.0  # e energy of the middle spectators already passed
+        for atom, edge in zip(spectators[:-1], edges[1:-1]):
+            numerator = numerator * ang_g(edge.g_gi) * ang_g(edge.g_ei)
+            w_e = ang_f(atom.omega_e)
+            denom = denom * (w_e1 - ang_f(atom.omega_i) - excited) * (w_e1 - w_e - excited - w_c)
+            excited += w_e
+        return numerator * ang_g(edges[-1].g_ge) / denom
 
-    if which == "chi3_two_cavity":
-        _require(len(dev.cavities) == 2 and len(dev.atoms) == 3, "needs 2 cavities and 3 atoms")
-        control, bridge, far = dev.atoms
-        _require(bridge.levels == 3, "the bridging atom must be three-level")
-        control_edges = dev.edges_of_atom(control.label)
-        far_edges = dev.edges_of_atom(far.label)
-        bridge_edges = {e.cavity: e for e in dev.edges_of_atom(bridge.label)}
-        _require(
-            len(control_edges) == 1 and len(far_edges) == 1 and len(bridge_edges) == 2,
-            "control and far atoms couple one cavity each, the bridge couples both",
-        )
-        left = control_edges[0].cavity
-        right = far_edges[0].cavity
-        _require(left != right, "control and far atoms must sit on different cavities")
-        numerator = (
-            ang_g(control_edges[0].g_ge)
-            * ang_g(bridge_edges[left].g_gi)
-            * ang_g(bridge_edges[right].g_ei)
-            * ang_g(far_edges[0].g_ge)
-        )
-        w_e1 = ang_f(control.omega_e)
-        denom = (
-            (w_e1 - ang_f(dev.cavity(left).omega_c))
-            * (w_e1 - ang_f(bridge.omega_i))
-            * (w_e1 - ang_f(bridge.omega_e) - ang_f(dev.cavity(right).omega_c))
-        )
-        return numerator / denom
-
-    _require(len(dev.cavities) == 1 and len(dev.atoms) == 4, "needs 1 cavity and 4 atoms")
-    control, a2, a3, a4 = dev.atoms
-    _require(all(a.levels == 3 for a in (a2, a3, a4)), "spectators must be three-level")
-    _identical_spectators(dev, (a2, a3, a4))
-    cav = dev.cavities[0]
-    e1 = dev.edges_of_atom(control.label)[0]
-    e2 = dev.edges_of_atom(a2.label)[0]
-    e3 = dev.edges_of_atom(a3.label)[0]
-    e4 = dev.edges_of_atom(a4.label)[0]
+    _require(len(dev.cavities) == 2 and len(dev.atoms) == 3, "needs 2 cavities and 3 atoms")
+    control, bridge, far = dev.atoms
+    _require(bridge.levels == 3, "the bridging atom must be three-level")
+    control_edges = dev.edges_of_atom(control.label)
+    far_edges = dev.edges_of_atom(far.label)
+    bridge_edges = {e.cavity: e for e in dev.edges_of_atom(bridge.label)}
+    _require(
+        len(control_edges) == 1 and len(far_edges) == 1 and len(bridge_edges) == 2,
+        "control and far atoms couple one cavity each, the bridge couples both",
+    )
+    left = control_edges[0].cavity
+    right = far_edges[0].cavity
+    _require(left != right, "control and far atoms must sit on different cavities")
     numerator = (
-        6.0
-        * ang_g(e1.g_ge)
-        * ang_g(e2.g_gi)
-        * ang_g(e2.g_ei)
-        * ang_g(e3.g_gi)
-        * ang_g(e3.g_ei)
-        * ang_g(e4.g_ge)
+        ang_g(control_edges[0].g_ge)
+        * ang_g(bridge_edges[left].g_gi)
+        * ang_g(bridge_edges[right].g_ei)
+        * ang_g(far_edges[0].g_ge)
     )
     w_e1 = ang_f(control.omega_e)
-    w_c = ang_f(cav.omega_c)
-    w_e2 = ang_f(a2.omega_e)
     denom = (
-        (w_e1 - w_c)
-        * (w_e1 - ang_f(a2.omega_i))
-        * (w_e1 - w_e2 - w_c)
-        * (w_e1 - ang_f(a3.omega_i) - w_e2)
-        * (w_e1 - ang_f(a3.omega_e) - w_e2 - w_c)
+        (w_e1 - ang_f(dev.cavity(left).omega_c))
+        * (w_e1 - ang_f(bridge.omega_i))
+        * (w_e1 - ang_f(bridge.omega_e) - ang_f(dev.cavity(right).omega_c))
     )
     return numerator / denom
 

@@ -244,16 +244,18 @@ def load_scenario_file(path) -> Scenario:
 def _checked(scenario: Scenario, where: str) -> Scenario:
     """The scenario, once its plan fits its device; ConfigError otherwise.
 
-    An evolve plan's state labels must parse. A sweep plan's parameter must
-    be set on the device, its start must lie below its stop, and its levels
-    must be two different indices below the dimension.
+    An evolve plan's state labels must parse, and its initial state must
+    excite an atom, whose population times the exchange. A sweep plan's
+    parameter must be set on the device, its start must lie below its stop,
+    and its levels must be two different indices below the dimension.
     """
     dev, plan = scenario.device, scenario.plan
     space = build_space(dev)
     try:
         if isinstance(plan, EvolvePlan):
-            for label in (plan.initial, plan.final):
-                parse_state_label(dev, space, label)
+            initial, _ = (parse_state_label(dev, space, x) for x in (plan.initial, plan.final))
+            if "e" not in initial.levels:
+                raise ValueError(f"initial state {plan.initial} has no atom in e to time")
         else:
             get_parameter(dev, plan.parameter)
             if not plan.start < plan.stop:
@@ -327,7 +329,7 @@ def _measure_evolve(dev: DeviceSpec, plan: EvolvePlan) -> dict[str, float]:
     period = extract_period(traj, f"p_e_{first_excited}")
     measured = {
         "chi_over_2pi_mhz": dev.angular_to_rate(abs(coupling.lambda_eff)),
-        "path_count": float(len(coupling.paths)),
+        "path_count": float(coupling.path_count),
         "period_pred_ns": coupling.period,
         "period_ns": period,
         "max_leakage": traj.max_leakage,

@@ -146,8 +146,9 @@ def diagonalize(H: np.ndarray, want_vectors: bool = True, levels: tuple[int, int
     Returns
     -------
     (eigenvalues, eigenvectors)
-        Ascending eigenvalues; real eigenvectors as columns, orthonormal
-        with Gram residual at most 1e-9, or None if not requested.
+        Ascending eigenvalues; real eigenvectors as columns, each with a
+        positive largest component, orthonormal with Gram residual at most
+        1e-9, or None if not requested.
     """
     if np.iscomplexobj(H):
         raise TypeError("Hamiltonian must be a real array")

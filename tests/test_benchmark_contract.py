@@ -41,3 +41,18 @@ def test_traced_metrics_match_benchmark_per_layer(tracing):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     produced = set(tracing.layer_metrics(tracing.Tracer(), 0, 0)) | RUN_METRICS
     assert produced == {metric["name"] for metric in declared}
+
+
+def test_path_counters_read_the_path_sum(tracing):
+    # a traced run counts kept and rejected paths from enumerate_paths' result
+    from cycqed.device import build_space, parse_state_label, with_parameter
+    from cycqed.perturbation import enumerate_paths
+    from cycqed.scenarios import load_scenario
+
+    count = tracing.COUNTERS["perturbation.enumerate_paths"]
+    dev = load_scenario("three_atom_one_cavity").device
+    space = build_space(dev)
+    pair = [parse_state_label(dev, space, label) for label in ("0,e,g,g", "0,g,e,e")]
+    assert count(enumerate_paths(dev, *pair, 4)) == {"paths_kept": 2, "paths_rejected": 0}
+    parked = with_parameter(dev, "atoms.1.omega_e", 6.0)
+    assert count(enumerate_paths(parked, *pair, 4))["paths_rejected"] > 0

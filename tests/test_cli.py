@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +332,21 @@ class TestCoupling:
         assert err.count("\n") == 1 and len(err) < 120
         assert err.startswith("warning: atom 1 / cavity c ge transition has g/Delta = ")
         assert "e+29" in err
+
+    @pytest.mark.parametrize(
+        "override, short", [("edges.1.c.g_ge=1e300", "chi/2pi = 5.071e+297 MHz"),
+                            ("edges.1.c.g_ge=1e-300", "T = 9.860e+304 ns")],
+    )
+    def test_extreme_values_print_short_lines(self, override, short, device_files, capsys):
+        # a fixed-point chi or T would run to some 300 digits
+        code, out, _ = run_cli(
+            ["coupling", "--device", device_files["three"], "--initial", "0,e,g,g",
+             "--final", "0,g,e,e", "--order", "4", "--set", override],
+            capsys,
+        )
+        assert code == 0
+        assert short in out
+        assert all(len(line) < 120 for line in out.splitlines())
 
     def test_odd_order_is_usage_error(self, device_files, capsys):
         code, _, err = run_cli(
@@ -780,6 +796,11 @@ class TestCheck:
         err = self.plan_misfit(self.three_atom_variant(tmp_path, initial="0,x,g,g"), capsys)
         assert "level 'x' invalid for atom '1'" in err
 
+    def test_initial_state_without_excited_atom_is_usage_error(self, tmp_path, capsys):
+        # the run times the exchange by an excited atom's population
+        err = self.plan_misfit(self.three_atom_variant(tmp_path, initial="1,g,g,g"), capsys)
+        assert "initial state 1,g,g,g has no atom in e to time" in err
+
     def test_unknown_sweep_atom_is_usage_error(self, tmp_path, capsys):
         err = self.plan_misfit(self.fig2_variant(tmp_path, parameter="atoms.9.omega_e"), capsys)
         assert "no atom labeled '9'" in err
@@ -902,6 +923,49 @@ def check_argv(draw):
     return argv
 
 
+WRONG_TYPES = st.sampled_from(["x", None, [], {}, True])
+
+
+@st.composite
+def scenario_plans(draw):
+    """A bundled sweep or evolve scenario with up to three plan fields changed.
+
+    The evolve plan always runs for at most 20 ns and 9 samples, so each
+    example stays short whatever the other fields say.
+    """
+    name = draw(st.sampled_from(["fig2_spectrum", "three_atom_one_cavity"]))
+    obj = json.loads(scenario_text(name))
+    plan = obj["plan"]
+    if plan["kind"] == "evolve":
+        plan["t_final"] = draw(mostly(st.floats(0.0, 20.0), st.sampled_from(
+            [-1.0, 1e-320, math.nan, -math.inf]
+        )))
+        plan["samples"] = draw(mostly(st.integers(2, 9), st.integers(-1, 1)))
+        fields = {
+            "initial": LABELS,
+            "final": LABELS,
+            "order": mostly(st.sampled_from([2, 4, 6]), st.integers(-2, 12)),
+            "step": mostly(st.floats(0.5, 20.0), ODD_FLOATS),
+            "method": st.sampled_from(["split", "auto", "rk45", "bogus"]),
+            "retune": st.booleans(),
+        }
+    else:
+        fields = {
+            "parameter": PATHS,
+            "start": numbers(0.9, 1.05),
+            "stop": numbers(1.05, 1.2),
+            "points": mostly(st.integers(2, 300), st.integers(-1, 1)),
+            "levels": mostly(
+                st.lists(st.integers(0, 12), min_size=2, max_size=2),
+                st.sampled_from([[6], [6, 7, 8], [-1, 7], [6, 999]]),
+            ),
+        }
+    for key in draw(st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True)):
+        plan[key] = draw(mostly(fields[key], WRONG_TYPES))
+    obj["name"] = f"{name}_mutated"
+    return obj
+
+
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 
 
@@ -940,4 +1004,20 @@ class TestFuzzedBoundary:
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), err.getvalue()
+        assert not NAN.search(out.getvalue()), out.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=scenario_plans())
+    def test_mutated_scenario_plan(self, files, scenario):
+        path = Path(files["@outdir"]) / "mutated.json"
+        # allow_nan: a NaN field must reach the loader, which refuses it
+        path.write_text(json.dumps(scenario, allow_nan=True))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["check", "--only", "fig2_spectrum", "--scenario-file", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
         assert not NAN.search(out.getvalue()), out.getvalue()

@@ -161,6 +161,29 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(space, rho)
 
+    def test_rejects_asymmetry_in_the_last_row(self):
+        # the check reads rho in row strips; d = 486 is not a multiple of their height
+        space = build_space(make_four_atom_device())
+        d = space.total_dim
+        rho = np.eye(d, dtype=complex) / d
+        rho[d - 1, 0] = 1e-3 / d
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(space, rho)
+        rho[0, d - 1] = 1e-3 / d
+        assert DensityMatrix(space, rho).entries is rho
+
+    def test_hermiticity_check_keeps_no_full_temporaries(self):
+        space = build_space(make_four_atom_device())
+        rho = np.eye(space.total_dim, dtype=complex) / space.total_dim
+        tracemalloc.start()
+        try:
+            DensityMatrix(space, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex d x d temporary alone would be 3.8 MB
+        assert peak < rho.nbytes / 8
+
     def test_rejects_bad_trace(self):
         space = build_space(jc_device())
         d = space.total_dim

@@ -114,6 +114,17 @@ class TestDiagonalize:
             assert lead.imag == pytest.approx(0.0, abs=1e-12)
             assert lead.real > 0
 
+    def test_phase_fixing_on_the_full_hamiltonian(self):
+        # LAPACK's own signs are arbitrary: on the coupled H many columns
+        # come back with a negative leading component
+        dev = make_crossing_sweep_device()
+        space = build_space(dev)
+        h = np.diag(bare_energy_vector(dev, space)) + build_interaction_rwa(dev, space)
+        for levels in (None, (6, 7)):
+            _, vecs = diagonalize(h, levels=levels)
+            lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+            assert np.all(lead > 0)
+
 
 class TestSweep:
     def test_levels_track_sorted_order(self):
