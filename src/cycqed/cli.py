@@ -1,9 +1,12 @@
 """Command-line front end: sweeps, couplings, dynamics runs, preset checks.
 
-Exit codes: 0 on success, 1 when a scientific check or computation fails,
-2 on usage or input-parsing errors, 141 when the reader closes stdout. CSV
-output is deterministic: fixed column order, 12 significant digits,
-newline-terminated rows, so repeated invocations are byte-identical.
+Exit codes are chosen once, in ``main``, by the error's type: 0 on success,
+2 for a ``ConfigError`` (a rejected flag, file, label or device point), 1
+for any other ``ValueError`` or ``RuntimeError`` (a failed computation) and
+for a failed scenario check, 141 when the reader closes stdout. Anything
+else is a bug and ends in a traceback. CSV output is deterministic: fixed
+column order, 12 significant digits, newline-terminated rows, so repeated
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,14 +53,6 @@ OUTDIR_ENV = "CYCQED_OUTDIR"
 EXIT_CLOSED_STDOUT = 141
 
 
-class UsageError(Exception):
-    """Bad flags or unparseable input; maps to exit code 2."""
-
-
-class ComputationError(Exception):
-    """A run or check failed scientifically; maps to exit code 1."""
-
-
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -70,19 +65,19 @@ def _short(value: float, spec: str) -> str:
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"range must be start:stop:npoints, got {text!r}")
+        raise ConfigError(f"range must be start:stop:npoints, got {text!r}")
     try:
         start, stop, npoints = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"bad range {text!r}: {exc}") from exc
+        raise ConfigError(f"bad range {text!r}: {exc}") from exc
     if npoints < 2:
-        raise UsageError("range needs at least 2 points")
+        raise ConfigError("range needs at least 2 points")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError(f"range bounds must be finite, got {text!r}")
+        raise ConfigError(f"range bounds must be finite, got {text!r}")
     if start == stop:
-        raise UsageError("range is empty: start equals stop")
+        raise ConfigError("range is empty: start equals stop")
     if start > stop:
-        raise UsageError(f"range must increase: start {start} exceeds stop {stop}")
+        raise ConfigError(f"range must increase: start {start} exceeds stop {stop}")
     return start, stop, npoints
 
 
@@ -90,9 +85,9 @@ def _parse_levels(text: str) -> tuple[int, int]:
     try:
         levels = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad levels {text!r}: {exc}") from exc
+        raise ConfigError(f"bad levels {text!r}: {exc}") from exc
     if len(levels) != 2 or levels[0] == levels[1] or any(v < 0 for v in levels):
-        raise UsageError("levels must be two distinct non-negative integers")
+        raise ConfigError("levels must be two distinct non-negative integers")
     return levels
 
 
@@ -101,29 +96,29 @@ def _parse_overrides(pairs: list[str]) -> list[tuple[str, float]]:
     for pair in pairs:
         path, sep, raw = pair.partition("=")
         if not sep or not path:
-            raise UsageError(f"override must be path=value, got {pair!r}")
+            raise ConfigError(f"override must be path=value, got {pair!r}")
         try:
             out.append((path, float(raw)))
         except ValueError as exc:
-            raise UsageError(f"bad override value in {pair!r}: {exc}") from exc
+            raise ConfigError(f"bad override value in {pair!r}: {exc}") from exc
     return out
 
 
 def _load_device(args) -> DeviceSpec:
     try:
         dev = load_device(args.device)
-    except (OSError, ConfigError) as exc:
-        raise UsageError(f"cannot load device {args.device}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"cannot load device {args.device}: {exc}") from exc
     if getattr(args, "n_max", None) is not None:
         if args.n_max < 2:
-            raise UsageError("n-max must be at least 2")
+            raise ConfigError("n-max must be at least 2")
         for cavity in dev.cavities:
             dev = with_parameter(dev, f"cavities.{cavity.label}.n_max", args.n_max)
     for path, value in _parse_overrides(getattr(args, "set", None) or []):
         try:
             dev = with_parameter(dev, path, value)
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"override {path!r}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"override {path!r}: {exc}") from exc
     for ratio in validate_dispersive(dev):
         if ratio.flagged:
             print(
@@ -142,9 +137,9 @@ def _output(args, name: str) -> Path:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot use output directory {raw}: {exc}") from exc
+        raise ConfigError(f"cannot use output directory {raw}: {exc}") from exc
     if (path / name).is_dir():
-        raise UsageError(f"cannot write {path / name}: it is a directory")
+        raise ConfigError(f"cannot write {path / name}: it is a directory")
     return path / name
 
 
@@ -156,7 +151,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _state_units(dev: DeviceSpec) -> tuple[str, str]:
@@ -170,13 +165,13 @@ def _state_units(dev: DeviceSpec) -> tuple[str, str]:
 def _check_sweep(dev: DeviceSpec, path: str, start: float, stop: float) -> None:
     """Reject a sweep path or range end that no device point can take."""
     if path.endswith(".n_max"):
-        raise UsageError("cannot sweep n_max: it changes the space dimension")
+        raise ConfigError("cannot sweep n_max: it changes the space dimension")
     try:
         get_parameter(dev, path)
         for value in (start, stop):
             with_parameter(dev, path, value)
     except ValueError as exc:
-        raise UsageError(f"sweep {path!r}: {exc}") from exc
+        raise ConfigError(f"sweep {path!r}: {exc}") from exc
 
 
 def cmd_spectrum(args) -> int:
@@ -186,19 +181,14 @@ def cmd_spectrum(args) -> int:
     levels = _parse_levels(args.levels) if args.levels else ()
     dim = build_space(dev).total_dim
     if any(level >= dim for level in levels):
-        raise UsageError(f"levels must be below the dimension {dim}, got {args.levels}")
+        raise ConfigError(f"levels must be below the dimension {dim}, got {args.levels}")
     out = _output(args, "spectrum.csv")
     values = np.linspace(start, stop, npoints)
     result = sweep_spectrum(dev, args.sweep, values, levels=levels)
     selected = result.selected_energies() if levels else result.energies
     shown = levels if levels else tuple(range(selected.shape[1]))
     header = [args.sweep] + [f"level_{k}" for k in shown]
-    report = None
-    if levels:
-        try:
-            report = find_resonance(dev, args.sweep, (start, stop), levels)
-        except ValueError as exc:
-            raise ComputationError(f"levels {args.levels}: {exc}") from exc
+    report = find_resonance(dev, args.sweep, (start, stop), levels) if levels else None
     rows = (
         [x] + [dev.angular_to_freq(e) for e in row]
         for x, row in zip(values, selected)
@@ -227,21 +217,15 @@ def cmd_spectrum(args) -> int:
 def cmd_coupling(args) -> int:
     dev = _load_device(args)
     if args.order % 2 != 0 or args.order < 2:
-        raise UsageError("order must be a positive even integer")
+        raise ConfigError("order must be a positive even integer")
     space = build_space(dev)
-    try:
-        initial = parse_state_label(dev, space, args.initial)
-        final = parse_state_label(dev, space, args.final)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    initial = parse_state_label(dev, space, args.initial)
+    final = parse_state_label(dev, space, args.final)
     if initial.index == final.index:
-        raise UsageError(f"--initial and --final are the same state {initial.label()}")
-    try:
-        coupling = effective_coupling(dev, initial, final, args.order)
-    except PerturbationError as exc:
-        raise ComputationError(str(exc)) from exc
+        raise ConfigError(f"--initial and --final are the same state {initial.label()}")
+    coupling = effective_coupling(dev, initial, final, args.order)
     if not coupling.path_count:
-        raise ComputationError(
+        raise PerturbationError(
             f"no order-{args.order} path couples {initial.label()} and {final.label()}"
         )
     rate_unit, time_unit = _state_units(dev)
@@ -274,22 +258,17 @@ def cmd_coupling(args) -> int:
 
 def cmd_dynamics(args) -> int:
     if args.step is not None and not (math.isfinite(args.step) and args.step > 0):
-        raise UsageError(f"--step must be positive and finite, got {args.step}")
+        raise ConfigError(f"--step must be positive and finite, got {args.step}")
     if not (math.isfinite(args.t_final) and args.t_final >= 0):
-        raise UsageError(f"--t-final must be nonnegative and finite, got {args.t_final}")
+        raise ConfigError(f"--t-final must be nonnegative and finite, got {args.t_final}")
     if args.t_final > 0 and args.samples < 2:
-        raise UsageError(
+        raise ConfigError(
             f"--samples must be at least 2 for a positive --t-final, got {args.samples}"
         )
     dev = _load_device(args)
     space = build_space(dev)
-    try:
-        initial = parse_state_label(dev, space, args.initial)
-        final = (
-            parse_state_label(dev, space, args.final) if args.final else None
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    initial = parse_state_label(dev, space, args.initial)
+    final = parse_state_label(dev, space, args.final) if args.final else None
     obs = standard_observables(dev, space, initial, final)
     out = _output(args, "dynamics.csv")
     try:
@@ -302,8 +281,10 @@ def cmd_dynamics(args) -> int:
             method=args.method,
             step=args.step,
         )
+    except ConfigError:
+        raise
     except (ValueError, RuntimeError) as exc:
-        raise ComputationError(f"evolution failed: {exc}") from exc
+        raise RuntimeError(f"evolution failed: {exc}") from exc
     names = list(traj.values)
     rows = (
         [t] + [traj.values[n][k] for n in names]
@@ -330,7 +311,7 @@ def cmd_check(args) -> int:
     chosen = args.only or list(SCENARIO_NAMES)
     unknown = [name for name in chosen if name not in SCENARIO_NAMES]
     if unknown:
-        raise UsageError(
+        raise ConfigError(
             f"unknown scenario(s): {', '.join(unknown)}; "
             f"bundled: {', '.join(SCENARIO_NAMES)}"
         )
@@ -338,18 +319,18 @@ def cmd_check(args) -> int:
     for path in args.scenario_file or []:
         try:
             scenarios.append(load_scenario_file(path))
-        except (OSError, ConfigError) as exc:
-            raise UsageError(f"cannot load scenario {path}: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"cannot load scenario {path}: {exc}") from exc
     if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     try:
         if args.threads == 1:
             reports = [run_scenario(s) for s in scenarios]
         else:
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
                 reports = list(pool.map(run_scenario, scenarios))
-    except KeyError as exc:
-        raise ComputationError(str(exc.args[0])) from exc
+    except KeyError as exc:  # a metric the plan does not produce; str() would quote it
+        raise RuntimeError(exc.args[0]) from exc
     for report in reports:
         print("\n".join(report.lines()))
     passed = sum(r.passed for r in reports)
@@ -398,9 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--final", help="target state label (enables transfer columns)")
     dynamics.add_argument("--t-final", type=float, required=True, help="duration (ns)")
     dynamics.add_argument("--samples", type=int, default=201, help="output samples")
-    dynamics.add_argument(
-        "--method", choices=METHODS, default="auto"
-    )
+    dynamics.add_argument("--method", choices=METHODS, default="auto")
     dynamics.add_argument("--step", type=float, help="split-step segment length (ns)")
     dynamics.set_defaults(func=cmd_dynamics)
 
@@ -432,10 +411,10 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except UsageError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ComputationError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -40,11 +40,8 @@ import types
 import typing
 from pathlib import Path
 
-from .device import DeviceSpec
-
-
-class ConfigError(ValueError):
-    """Malformed configuration content; maps to the usage/parse exit code."""
+# ConfigError lives with the device model, which refuses overflowing points with it
+from .device import ConfigError, DeviceSpec
 
 
 def canonical_text(obj) -> str:
@@ -56,8 +53,8 @@ def read_json(path: str | Path):
     """Load a JSON file, turning parse failures into ConfigError diagnostics."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)

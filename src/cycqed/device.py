@@ -38,6 +38,10 @@ TRANSITIONS = ("ge", "gi", "ei")
 DISPERSIVE_THRESHOLD = 0.2
 
 
+class ConfigError(ValueError):
+    """A rejected input: a malformed file, flag or label, or a device point that overflows."""
+
+
 def _require_finite(spec, where: str, names: tuple[str, ...]) -> None:
     for name in names:
         value = getattr(spec, name)
@@ -249,6 +253,17 @@ def build_space(dev: DeviceSpec) -> CompositeSpace:
     return _build_space(defs)
 
 
+def _require_finite_energies(dev: DeviceSpec, specs) -> None:
+    """Refuse a point whose top bare energy, every subsystem at its top level, overflows."""
+    top = sum(
+        dev.freq_to_angular(s.omega_c) * s.n_max if isinstance(s, CavitySpec)
+        else dev.level_energies(s)[-1]
+        for s in specs
+    )
+    if not math.isfinite(top):
+        raise ConfigError("the top bare energy overflows in angular units")
+
+
 def _energy_term(dev: DeviceSpec, spec: AtomSpec | CavitySpec, occ: np.ndarray) -> np.ndarray:
     """One subsystem's bare energy on every basis state, in the device's units."""
     if isinstance(spec, CavitySpec):
@@ -277,18 +292,18 @@ def bare_state(
 ) -> BareState:
     """Construct a labeled product state with its bare energy filled in."""
     if len(fock) != len(dev.cavities):
-        raise ValueError("fock tuple length must match the cavity count")
+        raise ConfigError("fock tuple length must match the cavity count")
     if len(levels) != len(dev.atoms):
-        raise ValueError("levels tuple length must match the atom count")
+        raise ConfigError("levels tuple length must match the atom count")
     occs = []
     for n, cav in zip(fock, dev.cavities):
         if not 0 <= n <= cav.n_max:
-            raise ValueError(f"photon number {n} outside cavity {cav.label!r} truncation")
+            raise ConfigError(f"photon number {n} outside cavity {cav.label!r} truncation")
         occs.append(int(n))
     energy = sum(dev.freq_to_angular(c.omega_c) * n for n, c in zip(fock, dev.cavities))
     for name, atom in zip(levels, dev.atoms):
         if name not in LEVEL_NAMES[: atom.levels]:
-            raise ValueError(f"level {name!r} invalid for atom {atom.label!r}")
+            raise ConfigError(f"level {name!r} invalid for atom {atom.label!r}")
         occs.append(LEVEL_NAMES.index(name))
         energy += dev.level_energies(atom)[occs[-1]]
     return BareState.at(space, space.index_of(tuple(occs)), energy)
@@ -299,14 +314,14 @@ def parse_state_label(dev: DeviceSpec, space: CompositeSpace, text: str) -> Bare
     parts = [p.strip() for p in text.split(",")]
     n_cav = len(dev.cavities)
     if len(parts) != n_cav + len(dev.atoms):
-        raise ValueError(
+        raise ConfigError(
             f"state label {text!r} needs {n_cav} photon numbers and "
             f"{len(dev.atoms)} atom levels"
         )
     try:
         fock = tuple(int(p) for p in parts[:n_cav])
     except ValueError as exc:
-        raise ValueError(f"bad photon number in state label {text!r}") from exc
+        raise ConfigError(f"bad photon number in state label {text!r}") from exc
     return bare_state(dev, space, fock, tuple(parts[n_cav:]))
 
 
@@ -334,6 +349,10 @@ def build_interaction_rwa(dev: DeviceSpec, space: CompositeSpace) -> np.ndarray:
             g = dev.rate_to_angular(edge.g(transition))
             if g == 0.0:
                 continue
+            if not math.isfinite(g * math.sqrt(space.subsystems[cav].dimension - 1)):
+                raise ConfigError(
+                    f"edge {edge.atom}-{edge.cavity}: g_{transition} overflows in angular units"
+                )
             lower, upper = (LEVEL_NAMES.index(name) for name in transition)
             cols = np.flatnonzero((occ[atom] == upper) & room)
             rows = cols + strides[cav] - (upper - lower) * strides[atom]
@@ -356,8 +375,9 @@ class Model:
     ``bare_energy_vector``'s order; a coupling field rebuilds the interaction.
     A value that changes a subsystem's number of levels is refused with
     ``ValueError``: a new ``n_max``, or an ``omega_i`` set on a two-level atom
-    or cleared on a three-level one. ``whole`` is the one block W = 1, built
-    once per model.
+    or cleared on a three-level one; a point whose top bare energy or a
+    coupling overflows in angular units, with ``ConfigError``. ``whole`` is
+    the one block W = 1, built once per model.
     """
 
     dev: DeviceSpec
@@ -366,6 +386,7 @@ class Model:
     _paths: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        _require_finite_energies(self.dev, (*self.dev.cavities, *self.dev.atoms))
         object.__setattr__(self, "space", build_space(self.dev))
         object.__setattr__(self, "terms", _energy_terms(self.dev, self.space))
 
@@ -402,6 +423,10 @@ class Model:
             at = self.space.position(spec.label)
             if self.space.dims[at] != (spec.n_max + 1 if group == "cavities" else spec.levels):
                 raise ValueError("sweep parameter changes the space dimension")
+            # the space lists cavities, then atoms, in declaration order
+            specs = [*self.dev.cavities, *self.dev.atoms]
+            specs[at] = spec
+            _require_finite_energies(self.dev, specs)
             terms[at] = _energy_term(self.dev, spec, self.space.occupation_arrays()[at])
         return sum(terms), interaction
 

@@ -493,7 +493,7 @@ def find_resonance(
     scan = [solve(x, j in (0, COARSE_POINTS - 1)) for j, x in enumerate(grid)]
     k = int(np.argmin([evals[1] - evals[0] for evals, *_ in scan]))
     if k == 0 or k == COARSE_POINTS - 1:
-        raise ValueError("no interior gap minimum in the bracket")
+        raise ValueError(f"levels {pair[0]},{pair[1]}: no interior gap minimum in the bracket")
 
     from scipy.optimize import brentq
 

@@ -37,6 +37,7 @@ class Mutant(NamedTuple):
 
 
 PERTURBATION = "tests/test_perturbation.py::"
+CLI = "tests/test_cli.py::"
 
 MUTANTS = (
     Mutant(
@@ -104,6 +105,95 @@ MUTANTS = (
         "def _require_finite(spec, where: str, names: tuple[str, ...]) -> None:\n",
         "def _require_finite(spec, where: str, names: tuple[str, ...]) -> None:\n    return\n",
         ("tests/test_device.py::TestSpecValidation::test_non_finite_values_rejected",),
+    ),
+    Mutant(
+        "main maps ConfigError to exit 1",
+        "cli.py",
+        "    except ConfigError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
+        "        return 2\n",
+        "    except ConfigError as exc:\n        print(f\"error: {exc}\", file=sys.stderr)\n"
+        "        return 1\n",
+        (
+            CLI + "TestSpectrum::test_invalid_atom_in_device_file_is_usage_error",
+            CLI + "TestCoupling::test_identical_states_is_usage_error",
+        ),
+    ),
+    Mutant(
+        "the evolve wrapper turns a refused device point into exit 1",
+        "cli.py",
+        "    except ConfigError:\n        raise\n",
+        "",
+        (CLI + "TestFuzzedBoundary::test_overflowing_device_point_is_one_usage_line",),
+    ),
+    Mutant(
+        "Model's bare-energy overflow refusal checks nothing",
+        "device.py",
+        "    if not math.isfinite(top):\n",
+        "    if False:\n",
+        (
+            "tests/test_device.py::TestModel::test_overflowing_point_refused",
+            CLI + "TestFuzzedBoundary::test_overflowing_device_point_is_one_usage_line",
+        ),
+    ),
+    Mutant(
+        "the coupling overflow refusal checks nothing",
+        "device.py",
+        "            if not math.isfinite(g * math.sqrt(space.subsystems[cav].dimension - 1)):\n",
+        "            if False:\n",
+        ("tests/test_device.py::TestModel::test_overflowing_coupling_refused",),
+    ),
+    Mutant(
+        "read_json lets a decode error through",
+        "config.py",
+        "    except (OSError, UnicodeDecodeError) as exc:\n",
+        "    except OSError as exc:\n",
+        (
+            "tests/test_config.py::test_file_that_is_not_utf8",
+            CLI + "TestSpectrum::test_device_file_that_is_not_utf8_is_usage_error",
+            CLI + "TestCheck::test_scenario_file_that_is_not_utf8_is_usage_error",
+        ),
+    ),
+    Mutant(
+        "from_obj's finite-number rule checks nothing",
+        "config.py",
+        "        if not math.isfinite(value):\n",
+        "        if False:\n",
+        ("tests/test_config.py::test_non_finite_plan_value_names_the_key",),
+    ),
+    Mutant(
+        "path_count converted without saturating",
+        "scenarios.py",
+        '"path_count": float(count) if count <= sys.float_info.max else np.inf,',
+        '"path_count": float(count),',
+        (CLI + "TestCheck::test_path_count_past_the_float_range_fails_its_scenario",),
+    ),
+    Mutant(
+        "the kick-stability refusal removed",
+        "dynamics.py",
+        "        if h * rate >= KICK_STABILITY_BOUND:\n",
+        "        if False:\n",
+        (
+            "tests/test_dynamics.py::TestEvolvePlumbing::"
+            "test_unstable_split_step_rejected_before_any_work",
+            CLI + "TestDynamics::test_unstable_step_is_computation_error",
+        ),
+    ),
+    Mutant(
+        "extract_period without its factor 2",
+        "dynamics.py",
+        "    return float(2.0 * (t[k_min] + shift * dt))\n",
+        "    return float(t[k_min] + shift * dt)\n",
+        ("tests/test_dynamics.py::TestVacuumRabi::test_period_extraction",),
+    ),
+    Mutant(
+        "find_resonance keeps the wrong half of a one-signed bracket",
+        "spectral.py",
+        "a, b = (a, grid[k]) if slope_difference(grid[k]) > 0 else (grid[k], b)",
+        "a, b = (grid[k], b) if slope_difference(grid[k]) > 0 else (a, grid[k])",
+        (
+            "tests/test_spectral.py::TestRootSearchAgainstGolden::"
+            "test_third_level_crossing_inside_the_scan_bracket",
+        ),
     ),
 )
 

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -234,6 +235,17 @@ class TestSpectrum:
             f"error: cannot load device {path}: {path}.atoms[0]: "
             "atom '1': omega_e must be positive\n"
         )
+
+    def test_device_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"a":1}')
+        code, out, err = run_cli(
+            ["coupling", "--device", path,
+             "--initial", "0,e,g,g", "--final", "0,g,e,e", "--order", "4"],
+            capsys,
+        )
+        assert_one_usage_error(code, out, err, f"cannot load device {path}: cannot read {path}: ")
+        assert "'utf-8' codec can't decode byte 0xff" in err
 
 
 class TestCoupling:
@@ -708,6 +720,15 @@ class TestCheck:
         assert code == 2
         assert "line 1" in err
 
+    def test_scenario_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"a":1}')
+        code, out, err = run_cli(
+            ["check", "--only", "fig2_spectrum", "--scenario-file", path], capsys
+        )
+        assert_one_usage_error(code, out, err, f"cannot load scenario {path}: cannot read {path}: ")
+        assert "'utf-8' codec can't decode byte 0xff" in err
+
     def test_failing_external_scenario(self, tmp_path, capsys):
         obj = json.loads(
             __import__("cycqed.scenarios", fromlist=["scenario_text"]).scenario_text(
@@ -773,6 +794,19 @@ class TestCheck:
         assert f"scenario three_atom_one_cavity: FAIL\n  error: {reason}" in out
         assert "scenario fig2_spectrum: PASS" in out
         assert "passed 1/2 scenarios" in out
+
+    def test_path_count_past_the_float_range_fails_its_scenario(self, tmp_path, capsys):
+        # order 420 has more than 1e308 paths: the count saturates to inf, it does not overflow
+        path = self.three_atom_variant(tmp_path, order=420, t_final=20, samples=9)
+        code, out, err = run_cli(
+            ["check", "--only", "fig2_spectrum", "--scenario-file", path], capsys
+        )
+        assert code == 1
+        assert err == ""
+        assert "scenario three_atom_one_cavity: FAIL\n" in out
+        assert "  [FAIL] path_count = inf (expected = 2; published)\n" in out
+        assert out.endswith("passed 1/2 scenarios\n")
+        assert not NAN.search(out)
 
     @staticmethod
     def fig2_variant(tmp_path, **plan):
@@ -968,6 +1002,16 @@ def scenario_plans(draw):
 
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
 
+# 2π·1e307 GHz times 5 photons passes the float range, and 2π·1e308 GHz alone does
+OVERFLOWING = {
+    "spectrum": ["spectrum", "--device", "@three", "--sweep", "atoms.1.omega_e",
+                 "--range", "7.9:8.0:3", "--set", "cavities.c.omega_c=1e307"],
+    "coupling": ["coupling", "--device", "@three", "--initial", "0,e,g,g", "--final", "0,g,e,e",
+                 "--order", "4", "--set", "cavities.c.omega_c=1e308"],
+    "dynamics": ["dynamics", "--device", "@three", "--initial", "0,e,g,g", "--t-final", "10",
+                 "--samples", "3", "--set", "cavities.c.omega_c=1e308"],
+}
+
 
 class TestFuzzedBoundary:
     """Any argv ends in exit 0, 1 or 2, without a traceback and without nan on stdout."""
@@ -993,18 +1037,35 @@ class TestFuzzedBoundary:
                    "--order", "4", "--set", "cavities.c.omega_c=1e300"])
     @example(argv=["coupling", "--device", "@three", "--initial", "0,e,g,g", "--final", "0,g,e,e",
                    "--order", "4", "--set", "edges.1.c.g_ge=1e-320"])
+    @example(argv=OVERFLOWING["spectrum"])
+    @example(argv=OVERFLOWING["coupling"])
+    @example(argv=OVERFLOWING["dynamics"])
     def test_exit_code_and_output(self, files, argv):
         argv = [files.get(a, a) for a in argv]
         if argv[0] != "check":
             argv += ["--outdir", files["@outdir"]]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2), err.getvalue()
         assert not NAN.search(out.getvalue()), out.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("command", sorted(OVERFLOWING))
+    def test_overflowing_device_point_is_one_usage_line(self, files, command, capsys):
+        argv = [files.get(a, a) for a in OVERFLOWING[command]] + ["--outdir", files["@outdir"]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the top bare energy overflows in angular units\n"
+        assert not caught
 
     @settings(max_examples=40, deadline=None)
     @given(scenario=scenario_plans())

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycqed
+from cycqed import device
 from cycqed.config import (
     ConfigError,
     canonical_text,
@@ -106,6 +108,14 @@ def test_non_finite_numbers_rejected(tmp_path, text):
         load_device(path)
 
 
+def test_non_finite_plan_value_names_the_key():
+    # a plan field has no check of its own: only the parser's finite-number rule refuses it
+    obj = to_obj(load_scenario("three_atom_one_cavity").plan)
+    obj["t_final"] = float("nan")
+    with pytest.raises(ConfigError, match=r"^plan: t_final must be finite, got nan$"):
+        from_obj(EvolvePlan, obj, "plan")
+
+
 def test_semantic_errors_become_config_errors():
     with pytest.raises(ConfigError, match="disconnected"):
         from_obj(
@@ -129,6 +139,18 @@ def test_bad_json_reports_line(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_device(tmp_path / "absent.json")
+
+
+def test_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"a":1}')
+    with pytest.raises(ConfigError, match="cannot read .*'utf-8' codec can't decode byte 0xff"):
+        read_json(path)
+
+
+def test_config_error_is_one_class():
+    # a file, a flag and an overflowing device point are refused with the same class
+    assert cycqed.ConfigError is ConfigError is device.ConfigError
 
 
 # -- the schema as a whole ------------------------------------------------------

@@ -16,6 +16,7 @@ from cycqed.config import save_device
 from cycqed.device import (
     TRANSITIONS,
     AtomSpec,
+    ConfigError,
     CavitySpec,
     CouplingEdge,
     DeviceSpec,
@@ -359,6 +360,32 @@ class TestModel:
         with pytest.raises(ValueError, match="dimension"):
             model.at("cavities.c.n_max", 4)
 
+    def test_overflowing_point_refused(self):
+        # 2π·1e307 GHz at 5 photons passes the float range: the term would hold inf and inf·0
+        dev = make_three_atom_device()
+        model = Model(dev)
+        for path, x in (("cavities.c.omega_c", 1e307), ("atoms.2.omega_i", 1.7e308)):
+            with pytest.raises(ConfigError, match="top bare energy overflows"):
+                Model(with_parameter(dev, path, x))
+            with pytest.raises(ConfigError, match="top bare energy overflows"):
+                model.at(path, x)
+            with pytest.raises(ConfigError, match="top bare energy overflows"):
+                model.blocks(path, x)
+        # no one subsystem overflows, but their sum at the top state does
+        wide = with_parameter(with_parameter(dev, "atoms.2.omega_i", 2e307), "atoms.3.omega_i", 2e307)
+        with pytest.raises(ConfigError, match="top bare energy overflows"):
+            Model(wide)
+        assert np.isfinite(model.at("cavities.c.omega_c", 5e306)).all()
+
+    def test_overflowing_coupling_refused(self):
+        # a dimensionless device takes g as is, and sqrt(n_max) g passes the float range
+        dev = make_crossing_sweep_device()
+        with pytest.raises(ConfigError, match="edge 1-c: g_ge overflows"):
+            Model(dev).at("edges.1.c.g_ge", 1e308)
+        with pytest.raises(ConfigError, match="edge 1-c: g_ge overflows"):
+            Model(with_parameter(dev, "edges.1.c.g_ge", 1e308)).interaction
+        assert np.isfinite(Model(dev).at("edges.1.c.g_ge", 1e307)).all()
+
 
 class TestValidateDispersive:
     def test_three_atom_ratios(self):
@@ -422,7 +449,7 @@ class TestStateLabels:
         dev = make_three_atom_device()
         sp = build_space(dev)
         for text in ("0,e,g", "x,e,g,g", "0,e,g,q", "9,e,g,g"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 parse_state_label(dev, sp, text)
 
     def test_two_level_atom_rejects_third_level(self):
